@@ -121,6 +121,18 @@ class DensityOperator:
         return np.real(np.diag(self.matrix)).copy()
 
 
+def _support_dimension(matrix: np.ndarray) -> int:
+    """1 + the highest Fock index with a nonzero row or column (at least 1).
+
+    Everything outside the leading support block of ``matrix`` is exactly
+    zero, so operations that cannot raise the photon number may act on
+    that block alone.
+    """
+    nonzero = matrix != 0
+    occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    return int(occupied[-1]) + 1 if occupied.size else 1
+
+
 def annihilation_matrix(dimension: int) -> np.ndarray:
     """Matrix of the annihilation operator a, truncated to ``dimension``."""
     return np.diag(np.sqrt(np.arange(1.0, dimension)), 1).astype(complex)
@@ -285,7 +297,10 @@ def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:
     Normalized so that the integral over the plane is 1 and
     |W| <= 1/pi. Evaluated through the Laguerre expansion of the
     displaced-parity operator, summed superdiagonal-by-superdiagonal
-    with a Clenshaw recurrence (stable at cutoffs ~100).
+    with a Clenshaw recurrence (stable at cutoffs ~100). Rows and
+    columns past the photon-number support add only exact zeros to
+    that sum, so it runs on the support block and its cost follows the
+    support, not the cutoff.
 
     Args:
         rho: state to evaluate.
@@ -299,10 +314,10 @@ def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:
     pv = np.asarray(p, dtype=float)
     xv, pv = np.broadcast_arrays(xv, pv)
 
-    M = rho.dimension
+    M = _support_dimension(rho.matrix)
     A2 = np.sqrt(2.0) * (xv + 1j * pv)
     B = np.abs(A2) ** 2
-    diag_scaled = rho.matrix * (2.0 - np.eye(M))
+    diag_scaled = rho.matrix[:M, :M] * (2.0 - np.eye(M))
 
     def lag_clenshaw(L: int, xx: np.ndarray, c: np.ndarray) -> np.ndarray:
         # Clenshaw sum of sum_k c_k L_k^L(xx) over normalized Laguerre terms

@@ -20,7 +20,9 @@ from .fock import (
     DensityOperator,
     FockCutoff,
     StateVector,
+    _support_dimension,
     hermite_functions,
+    pad_density_operator,
     HERMITICITY_TOL,
     TRACE_TOL,
     POSITIVITY_TOL,
@@ -184,14 +186,16 @@ def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
     """Photon loss with power transmission ``transmission`` (eta).
 
     Trace preserving; satisfies the semigroup law
-    loss(loss(rho, e1), e2) = loss(rho, e1 * e2).
+    loss(loss(rho, e1), e2) = loss(rho, e1 * e2). Loss never raises the
+    photon number, so the Kraus sum acts on the support block only.
     """
     if transmission == 1.0:
         return rho
-    d = rho.dimension
-    out = np.zeros((d, d), dtype=complex)
-    for A in loss_kraus(transmission, d):
-        out += A @ rho.matrix @ A.conj().T
+    s = _support_dimension(rho.matrix)
+    block = rho.matrix[:s, :s]
+    out = np.zeros((rho.dimension,) * 2, dtype=complex)
+    for A in loss_kraus(transmission, s):
+        out[:s, :s] += A @ block @ A.conj().T
     return DensityOperator(out, rho.cutoff)
 
 
@@ -292,9 +296,23 @@ def breed(a: DensityOperator, b: DensityOperator, window: AcceptanceWindow,
     Mode b carries the measured output; mode a carries the bred state.
     Iterating on the outputs is supported (states are closed under the
     operation).
+
+    The beam splitter conserves total photon number, so inputs supported
+    on |0..s_a-1> and |0..s_b-1> never leave the sectors up to
+    s_a + s_b - 2 photons. Both steps run at that work cutoff (capped at
+    the inputs' own) and the heralded state is zero-padded back; the cost
+    follows the photon support, not the cutoff.
     """
-    joint = beam_splitter(a, b, 0.5, 0.0)
-    return condition(joint, "b", window, detector_efficiency)
+    if a.cutoff != b.cutoff:
+        raise DomainError("beam splitter inputs must share a cutoff")
+    support = _support_dimension(a.matrix) + _support_dimension(b.matrix) - 2
+    work = FockCutoff(min(max(support, 2), a.cutoff.n_max))
+    d = work.dimension
+    joint = beam_splitter(DensityOperator(a.matrix[:d, :d], work),
+                          DensityOperator(b.matrix[:d, :d], work), 0.5, 0.0)
+    outcome = condition(joint, "b", window, detector_efficiency)
+    return HeraldOutcome(pad_density_operator(outcome.state, a.cutoff),
+                         outcome.probability)
 
 
 def single_photon_state(photon_fidelity: float = 0.87,

@@ -11,7 +11,7 @@ photon waited n trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -173,7 +173,7 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
     """
     if target_rate_hz <= 0:
         raise DomainError("target rate must be > 0")
-    base = generation_rate(_replace(config, beta_elec=1.0), p_condition)
+    base = generation_rate(replace(config, beta_elec=1.0), p_condition)
     if base <= 0:
         raise DomainError("configured rate is zero; cannot calibrate beta_elec")
     beta = target_rate_hz / base
@@ -182,11 +182,6 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
             f"calibrated beta_elec {beta:.4f} outside (0, 1]; "
             f"target {target_rate_hz} Hz is not reachable by a dead-time factor")
     return float(beta)
-
-
-def _replace(config: ProtocolConfig, **changes) -> ProtocolConfig:
-    from dataclasses import replace
-    return replace(config, **changes)
 
 
 @lru_cache(maxsize=2)
@@ -270,7 +265,7 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     if any(m < config.n_min for m in n_max_values):
         raise DomainError("every n_max must be >= config.n_min")
     top = max(n_max_values)
-    wide = _replace(config, n_max=top)
+    wide = replace(config, n_max=top)
     comps = _window_components(wide)
     if target is None:
         target = target_cat(TargetCatSpec(), config.cutoff)
@@ -287,7 +282,7 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
         creation = DensityOperator(creation_mat, config.cutoff)
         after = storage_evolve(creation, config.readout_trips,
                                config.per_trip_transmission)
-        rate = generation_rate(_replace(config, n_max=m), p_mean)
+        rate = generation_rate(replace(config, n_max=m), p_mean)
         rows.append(CurveRow(
             n_max=m,
             rate_hz=rate,
@@ -311,11 +306,13 @@ def write_curve_csv(rows: Sequence[CurveRow], path) -> None:
 
 def write_event_log(events: Sequence[TimelineEvent], path) -> None:
     """Line-delimited structured records, one JSON object per event."""
+    # json.dumps builds a fresh encoder on every call; one per log is
+    # enough and writes the same bytes
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for ev in events:
-            fh.write(json.dumps(
-                {"kind": ev.kind, "pulse_index": ev.pulse_index, **ev.payload},
-                sort_keys=True) + "\n")
+            fh.write(encode(
+                {"kind": ev.kind, "pulse_index": ev.pulse_index, **ev.payload}) + "\n")
 
 
 def _herald_pulses(rng: np.random.Generator, p: float, n_pulses: int) -> np.ndarray:

@@ -6,10 +6,11 @@ from scipy.special import eval_hermite, gammaln
 from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
                       TargetCatSpec, annihilation_matrix, coherent_state,
                       fidelity, fidelity_to_pure, fock_state,
-                      hermite_functions, marginal_pdf, mean_photon_number,
-                      pad_density_operator, parity_expectation, purity,
-                      quadrature_wavefunction, squeeze_db_to_r, squeeze_matrix,
-                      target_cat, wigner, wigner_grid)
+                      hermite_functions, loss_channel, marginal_pdf,
+                      mean_photon_number, pad_density_operator,
+                      parity_expectation, purity, quadrature_wavefunction,
+                      squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
+                      wigner_grid)
 from conftest import random_density, random_pure
 
 
@@ -121,6 +122,14 @@ def test_pad_density_operator_preserves_content():
     assert np.all(big.populations()[5:] == 0.0)
     with pytest.raises(DomainError):
         pad_density_operator(big, FockCutoff(4))
+    # loss and the Wigner sum see only the photon-number support, so the
+    # padding changes neither by a single bit
+    for eta in (0.0, 0.37, 0.8):
+        assert np.array_equal(
+            loss_channel(big, eta).matrix,
+            pad_density_operator(loss_channel(rho, eta), big.cutoff).matrix)
+    xs = np.linspace(-4, 4, 33)
+    assert np.array_equal(wigner_grid(big, xs, xs), wigner_grid(rho, xs, xs))
 
 
 # ---------------------------------------------------------------------------

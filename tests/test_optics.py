@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from catbreed import (AcceptanceWindow, DomainError, FockCutoff,
-                      HeraldImpossibleError, TwoModeState, beam_splitter,
-                      breed, coherent_state, condition, fidelity,
-                      fidelity_to_pure, fock_state, homodyne_povm,
-                      loss_channel, loss_kraus, partial_trace,
-                      quadrature_wavefunction, single_photon_state)
+from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
+                      DomainError, FockCutoff, HeraldImpossibleError,
+                      TwoModeState, beam_splitter, breed, coherent_state,
+                      condition, fidelity, fidelity_to_pure, fock_state,
+                      homodyne_povm, loss_channel, loss_kraus,
+                      partial_trace, quadrature_wavefunction,
+                      single_photon_state, storage_evolve)
 from catbreed.fock import StateVector
 from catbreed.optics import _beam_splitter_unitary, _smear_povm
 from conftest import random_density, random_pure
@@ -370,6 +371,46 @@ def test_breed_with_detector_inefficiency_lowers_distinctness():
     target = ideal_bred_state(CUT)
     assert fidelity_to_pure(smeared.state, target) < fidelity_to_pure(
         clean.state, target)
+
+
+def dense_breed(a, b, window, detector_efficiency):
+    """Oracle: the breeding step on the full d^2 x d^2 two-mode state."""
+    return condition(beam_splitter(a, b, 0.5), "b", window, detector_efficiency)
+
+
+def assert_outcomes_close(got, want, atol):
+    np.testing.assert_allclose(got.state.matrix, want.state.matrix, rtol=0, atol=atol)
+    assert got.probability == pytest.approx(want.probability, rel=0, abs=atol)
+
+
+@pytest.mark.parametrize("n_max", [20, 30])
+@pytest.mark.parametrize("two_photon_weight", [0.0, 0.05])
+@pytest.mark.parametrize("eta", [1.0, 0.76])
+def test_breed_matches_dense_oracle(n_max, two_photon_weight, eta):
+    # breed works at the photon-number support; the full-cutoff beam
+    # splitter and conditioning must agree to round-off, for stored
+    # inputs and for a second generation bred from the first
+    cut = FockCutoff(n_max)
+    fresh = single_photon_state(0.87, two_photon_weight, cut)
+    stored = storage_evolve(fresh, 9, DEFAULT_PER_TRIP_TRANSMISSION)
+    first = breed(stored, fresh, WINDOW, eta)
+    assert_outcomes_close(first, dense_breed(stored, fresh, WINDOW, eta), 1e-14)
+    second = breed(first.state, first.state, WINDOW, eta)
+    assert_outcomes_close(
+        second, dense_breed(first.state, first.state, WINDOW, eta), 1e-14)
+
+
+def test_breed_at_full_support_is_the_dense_path():
+    rng = np.random.default_rng(16)
+    a = random_density(rng, CUT.dimension)
+    b = random_density(rng, CUT.dimension)
+    window = AcceptanceWindow(0.4, 0.3)
+    got = breed(a, b, window, 0.76)
+    want = dense_breed(a, b, window, 0.76)
+    assert np.array_equal(got.state.matrix, want.state.matrix)
+    assert got.probability == want.probability
+    with pytest.raises(DomainError):
+        breed(a, fock_state(1, FockCutoff(5)).to_density(), window)
 
 
 def test_single_photon_state_population_model():
