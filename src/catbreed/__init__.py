@@ -20,7 +20,7 @@ from .fock import (DensityOperator, FockCutoff, StateVector, TargetCatSpec,
                    wigner_grid)
 from .optics import (QUADRATURE_SUPPORT, AcceptanceWindow, HeraldOutcome,
                      TwoModeState, beam_splitter, breed, condition,
-                     homodyne_povm, loss_channel, loss_kraus, partial_trace,
+                     homodyne_povm, loss_channel, partial_trace,
                      single_photon_state)
 from .protocol import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                        EVENT_KINDS,
@@ -52,7 +52,7 @@ __all__ = [
     "mean_photon_number", "parity_expectation",
     # two-mode optics and conditioning
     "QUADRATURE_SUPPORT", "TwoModeState", "AcceptanceWindow", "HeraldOutcome",
-    "beam_splitter", "partial_trace", "loss_kraus", "loss_channel",
+    "beam_splitter", "partial_trace", "loss_channel",
     "homodyne_povm", "condition", "breed", "single_photon_state",
     # protocol model
     "ProtocolConfig", "TimelineEvent", "RunStatistics", "PipelineStates",

@@ -46,24 +46,32 @@ OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
 CORRECTION_STAGES = ("none", "storage", "detection", "both")
 
-# ProtocolConfig fields exposed as config-file keys and CLI flags; the
-# acceptance window is flattened to (epsilon, window_phase).
-_CONFIG_FIELDS = {
-    "f_rep": float,
-    "f_herald": float,
-    "beta_elec": float,
-    "epsilon": float,
-    "window_phase": float,
-    "n_min": int,
-    "n_max": int,
-    "per_trip_transmission": float,
-    "readout_trips": int,
-    "eta_homodyne": float,
-    "photon_fidelity": float,
-    "two_photon_weight": float,
-    "condition_with_detector_efficiency": bool,
-    "cutoff": int,
-    "rng_seed": int,
+
+def _flat_settings(config: ProtocolConfig) -> dict:
+    """ProtocolConfig as the flat settings that config-file keys, flags and
+    manifest.json use: the acceptance window flattens to (epsilon,
+    window_phase) and the cutoff to its n_max."""
+    settings = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.name == "window":
+            settings["epsilon"] = value.half_width
+            settings["window_phase"] = value.phase
+        elif f.name == "cutoff":
+            settings["cutoff"] = value.n_max
+        else:
+            settings[f.name] = value
+    return settings
+
+
+# every setting with its default, in ProtocolConfig field order; the type
+# of each default is the type its config-file key and flag parse to
+_DEFAULTS = _flat_settings(ProtocolConfig())
+_FLAG_HELP = {
+    "epsilon": "acceptance-window half width",
+    "condition_with_detector_efficiency":
+        "fold detector efficiency into conditioning",
+    "cutoff": "Fock-space cutoff n_max",
 }
 
 
@@ -80,9 +88,9 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: missing [protocol] section")
     out = {}
     for key, raw in parser.items("protocol"):
-        if key not in _CONFIG_FIELDS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}: unknown key {key!r} in [protocol]")
-        kind = _CONFIG_FIELDS[key]
+        kind = type(_DEFAULTS[key])
         try:
             if kind is bool:
                 out[key] = parser.getboolean("protocol", key)
@@ -97,27 +105,10 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve_settings(args) -> dict:
     """Defaults <- config file <- command-line flags, last one wins."""
-    base = ProtocolConfig()
-    settings = {
-        "f_rep": base.f_rep,
-        "f_herald": base.f_herald,
-        "beta_elec": base.beta_elec,
-        "epsilon": base.window.half_width,
-        "window_phase": base.window.phase,
-        "n_min": base.n_min,
-        "n_max": base.n_max,
-        "per_trip_transmission": base.per_trip_transmission,
-        "readout_trips": base.readout_trips,
-        "eta_homodyne": base.eta_homodyne,
-        "photon_fidelity": base.photon_fidelity,
-        "two_photon_weight": base.two_photon_weight,
-        "condition_with_detector_efficiency": base.condition_with_detector_efficiency,
-        "cutoff": base.cutoff.n_max,
-        "rng_seed": base.rng_seed,
-    }
+    settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
         settings.update(_read_config_file(args.config))
-    for key in _CONFIG_FIELDS:
+    for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -125,22 +116,12 @@ def _resolve_settings(args) -> dict:
 
 
 def _build_config(settings: dict) -> ProtocolConfig:
-    return ProtocolConfig(
-        f_rep=settings["f_rep"],
-        f_herald=settings["f_herald"],
-        beta_elec=settings["beta_elec"],
-        window=AcceptanceWindow(settings["epsilon"], settings["window_phase"]),
-        n_min=settings["n_min"],
-        n_max=settings["n_max"],
-        per_trip_transmission=settings["per_trip_transmission"],
-        readout_trips=settings["readout_trips"],
-        eta_homodyne=settings["eta_homodyne"],
-        photon_fidelity=settings["photon_fidelity"],
-        two_photon_weight=settings["two_photon_weight"],
-        condition_with_detector_efficiency=settings["condition_with_detector_efficiency"],
-        cutoff=FockCutoff(settings["cutoff"]),
-        rng_seed=settings["rng_seed"],
-    )
+    """Inverse of _flat_settings."""
+    fields = dict(settings)
+    fields["window"] = AcceptanceWindow(fields.pop("epsilon"),
+                                        fields.pop("window_phase"))
+    fields["cutoff"] = FockCutoff(fields["cutoff"])
+    return ProtocolConfig(**fields)
 
 
 def _output_dir(args) -> Path:
@@ -505,27 +486,14 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="INI file with a [protocol] section")
     sub.add_argument("--output-dir", help=f"output directory (default: "
                      f"${OUTPUT_ROOT_ENV}/<command>)")
-    sub.add_argument("--f-rep", dest="f_rep", type=float)
-    sub.add_argument("--f-herald", dest="f_herald", type=float)
-    sub.add_argument("--beta-elec", dest="beta_elec", type=float)
-    sub.add_argument("--epsilon", type=float,
-                     help="acceptance-window half width")
-    sub.add_argument("--window-phase", dest="window_phase", type=float)
-    sub.add_argument("--n-min", dest="n_min", type=int)
-    sub.add_argument("--n-max", dest="n_max", type=int)
-    sub.add_argument("--per-trip-transmission", dest="per_trip_transmission",
-                     type=float)
-    sub.add_argument("--readout-trips", dest="readout_trips", type=int)
-    sub.add_argument("--eta-homodyne", dest="eta_homodyne", type=float)
-    sub.add_argument("--photon-fidelity", dest="photon_fidelity", type=float)
-    sub.add_argument("--two-photon-weight", dest="two_photon_weight",
-                     type=float)
-    sub.add_argument("--condition-with-detector-efficiency",
-                     dest="condition_with_detector_efficiency",
-                     action="store_const", const=True,
-                     help="fold detector efficiency into conditioning")
-    sub.add_argument("--cutoff", type=int, help="Fock-space cutoff n_max")
-    sub.add_argument("--seed", dest="rng_seed", type=int)
+    for key, default in _DEFAULTS.items():
+        flag = "--seed" if key == "rng_seed" else "--" + key.replace("_", "-")
+        if type(default) is bool:
+            sub.add_argument(flag, dest=key, action="store_const", const=True,
+                             help=_FLAG_HELP.get(key))
+        else:
+            sub.add_argument(flag, dest=key, type=type(default),
+                             help=_FLAG_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:

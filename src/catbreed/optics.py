@@ -152,34 +152,30 @@ def partial_trace(state: TwoModeState, keep: str) -> DensityOperator:
     return DensityOperator(reduced, state.cutoff)
 
 
-def loss_kraus(transmission: float, dimension: int) -> list[np.ndarray]:
-    """Kraus operators of the pure-loss (generalized Bernoulli) channel.
+def _loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
+    """Binomial amplitudes of the pure-loss (generalized Bernoulli) channel.
 
-    A_k has elements sqrt(C(n, k) eta^(n-k) (1-eta)^k) mapping |n> to
-    |n-k|; computed in the log domain to stay finite at large n.
+    b[k, n] = sqrt(C(n, k) eta^(n-k) (1-eta)^k) is the amplitude for
+    losing k of n photons, |n> -> |n-k>, and zero for k > n; the channel
+    is rho -> sum_k A_k rho A_k^dag with A_k = sum_n b[k, n] |n-k><n|.
+    Computed in the log domain to stay finite at large n. Callers treat
+    transmission 1 (the identity) themselves.
     """
     if not 0.0 <= transmission <= 1.0:
         raise DomainError(f"transmission must lie in [0, 1], got {transmission}")
-    if transmission == 1.0:
-        return [np.eye(dimension, dtype=complex)]
     if transmission == 0.0:
-        # everything decays to vacuum: A_k = |0><k|
-        ops = []
-        for k in range(dimension):
-            A = np.zeros((dimension, dimension), dtype=complex)
-            A[0, k] = 1.0
-            ops.append(A)
-        return ops
-    ops = []
+        # everything decays to vacuum: |k> -> |0> with amplitude 1
+        return np.eye(dimension, dtype=complex)
+    log_factorial = gammaln(np.arange(dimension) + 1)
+    # complex, so that the products with complex states need no cast
+    b = np.zeros((dimension, dimension), dtype=complex)
     for k in range(dimension):
         n = np.arange(k, dimension)
-        log_coeff = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-        vals = np.exp(log_coeff + 0.5 * (n - k) * np.log(transmission)
-                      + 0.5 * k * np.log1p(-transmission))
-        A = np.zeros((dimension, dimension), dtype=complex)
-        A[n - k, n] = vals
-        ops.append(A)
-    return ops
+        log_coeff = 0.5 * (log_factorial[k:] - log_factorial[k]
+                           - log_factorial[:dimension - k])
+        b[k, k:] = np.exp(log_coeff + 0.5 * (n - k) * np.log(transmission)
+                          + 0.5 * k * np.log1p(-transmission))
+    return b
 
 
 def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
@@ -187,15 +183,18 @@ def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
 
     Trace preserving; satisfies the semigroup law
     loss(loss(rho, e1), e2) = loss(rho, e1 * e2). Loss never raises the
-    photon number, so the Kraus sum acts on the support block only.
+    photon number, so the map acts on the support block only.
     """
     if transmission == 1.0:
         return rho
     s = _support_dimension(rho.matrix)
     block = rho.matrix[:s, :s]
+    b = _loss_amplitudes(transmission, s)
     out = np.zeros((rho.dimension,) * 2, dtype=complex)
-    for A in loss_kraus(transmission, s):
-        out[:s, :s] += A @ block @ A.conj().T
+    for k in range(s):
+        # A_k rho A_k^dag: rho[n, m] moves to [n-k, m-k], scaled by b[k, n] b[k, m]
+        v = b[k, k:]
+        out[:s - k, :s - k] += (v[:, None] * block[k:, k:]) * v[None, :]
     return DensityOperator(out, rho.cutoff)
 
 
@@ -224,9 +223,13 @@ def _smear_povm(pi: np.ndarray, transmission: float) -> np.ndarray:
     """Adjoint loss map on a POVM element: sum_k A_k^dag Pi A_k."""
     if transmission == 1.0:
         return pi
+    d = pi.shape[0]
+    b = _loss_amplitudes(transmission, d)
     out = np.zeros_like(pi, dtype=complex)
-    for A in loss_kraus(transmission, pi.shape[0]):
-        out += A.conj().T @ pi @ A
+    for k in range(d):
+        # A_k^dag Pi A_k: Pi[n, m] moves to [n+k, m+k], scaled by b[k, n+k] b[k, m+k]
+        v = b[k, k:]
+        out[k:, k:] += (v[:, None] * pi[:d - k, :d - k]) * v[None, :]
     return out
 
 

@@ -207,8 +207,27 @@ def _gap_weights(config: ProtocolConfig, n_max: int) -> np.ndarray:
     """Geometric gap probabilities restricted to [n_min, n_max], normalized."""
     n = np.arange(config.n_min, n_max + 1)
     p = config.p_trip
+    if p == 0.0:
+        raise DomainError(
+            "f_herald is 0: no photon is ever heralded, so the heralded "
+            "mixture over storage lengths is undefined")
     w = (1.0 - p) ** (n - 1) * p
     return w / w.sum()
+
+
+def _heralded_mixture(config: ProtocolConfig,
+                      n_max: int) -> tuple[DensityOperator, float]:
+    """Creation state and mean herald probability for storage depth
+    ``n_max`` <= config.n_max: the per-gap outcomes mixed by the in-window
+    gap law."""
+    weights = _gap_weights(config, n_max)
+    comps = _window_components(config)[:n_max - config.n_min + 1]
+    creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
+    p_mean = 0.0
+    for w, (_, state, prob) in zip(weights, comps):
+        creation_mat += w * state.matrix
+        p_mean += w * prob
+    return DensityOperator(creation_mat, config.cutoff), p_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +248,7 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     stored state adds the readout storage loss; the measured state adds
     the homodyne detection loss.
     """
-    comps = _window_components(config)
-    weights = _gap_weights(config, config.n_max)
-    creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
-    p_mean = 0.0
-    for w, (_, state, prob) in zip(weights, comps):
-        creation_mat += w * state.matrix
-        p_mean += w * prob
-    creation = DensityOperator(creation_mat, config.cutoff)
+    creation, p_mean = _heralded_mixture(config, config.n_max)
     stored = storage_evolve(creation, config.readout_trips,
                             config.per_trip_transmission)
     measured = loss_channel(stored, config.eta_homodyne)
@@ -266,20 +278,12 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
         raise DomainError("every n_max must be >= config.n_min")
     top = max(n_max_values)
     wide = replace(config, n_max=top)
-    comps = _window_components(wide)
     if target is None:
         target = target_cat(TargetCatSpec(), config.cutoff)
 
     rows = []
     for m in n_max_values:
-        weights = _gap_weights(config, m)
-        k = m - config.n_min + 1
-        creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
-        p_mean = 0.0
-        for w, (_, state, prob) in zip(weights, comps[:k]):
-            creation_mat += w * state.matrix
-            p_mean += w * prob
-        creation = DensityOperator(creation_mat, config.cutoff)
+        creation, p_mean = _heralded_mixture(wide, m)
         after = storage_evolve(creation, config.readout_trips,
                                config.per_trip_transmission)
         rate = generation_rate(replace(config, n_max=m), p_mean)

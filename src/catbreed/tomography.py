@@ -421,16 +421,21 @@ def load_dataset_csv(path) -> HomodyneDataset:
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != DATASET_HEADER:
-                raise ConfigError(
-                    f"{path}: expected header {DATASET_HEADER!r}, got {header!r}")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 body = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed dataset: {exc}") from exc
+    if header != DATASET_HEADER:
+        raise ConfigError(
+            f"{path}: expected header {DATASET_HEADER!r}, got {header!r}")
     if body.size == 0:
         raise ConfigError(f"{path}: dataset is empty")
+    if body.shape[1] != 2:
+        raise ConfigError(
+            f"{path}: expected 2 columns ({DATASET_HEADER}), got {body.shape[1]}")
     return HomodyneDataset(body[:, 0], body[:, 1], {"source": str(path)})
 
 
@@ -455,6 +460,8 @@ def read_density_csv(path) -> DensityOperator:
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read density matrix {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed density-matrix file: {exc}") from exc
     if len(header) % 2 != 0 or body.size == 0:
         raise ConfigError(f"{path}: malformed density-matrix file")
     d = len(header) // 2

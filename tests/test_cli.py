@@ -206,6 +206,24 @@ def test_wigner_guards_exclusive_sources(tmp_path, capsys):
         ["wigner", "--output-dir", run, "--pipeline", "--grid", "oops"],
         capsys)
     assert code == 2
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("re_0,im_0,re_1,im_1,re_2,im_2\n"
+                       "1,0,0,0,0,0\n0,0,zero,0,0,0\n0,0,0,0,0,0\n")
+    code, _, err = run_cli(
+        ["wigner", "--output-dir", run, "--state-file", str(garbled)], capsys)
+    assert code == 2
+    assert "malformed" in err
+
+
+@pytest.mark.parametrize("argv", [["wigner", "--pipeline"],
+                                  ["curve", "--n-max-values", "1,5"]])
+def test_zero_herald_rate_is_a_domain_error(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        argv + ["--output-dir", str(out), "--f-herald", "0"], capsys)
+    assert code == 2
+    assert "f_herald is 0" in err
+    assert not (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +362,22 @@ def test_tomography_rejects_bad_datasets(tmp_path, capsys):
         ["tomography", "--output-dir", str(tmp_path / "run"),
          "--dataset", str(tmp_path / "missing.csv")], capsys)
     assert code == 2
-    empty = tmp_path / "empty.csv"
-    empty.write_text("theta,x\n")
-    code, _, _ = run_cli(
-        ["tomography", "--output-dir", str(tmp_path / "run"),
-         "--dataset", str(empty)], capsys)
-    assert code == 2
+    contents = {
+        "empty": b"theta,x\n",
+        "wrong_header": b"x,theta\n0.1,0.0\n",
+        "non_numeric": b"theta,x\n0.0,0.1\n0.5,abc\n",
+        "one_column": b"theta,x\n0.0\n0.5\n",
+        "three_columns": b"theta,x\n0.0,0.1,7\n0.5,0.2,7\n",
+        "not_text": b"\xff\xfetheta,x\n",
+    }
+    for name, content in contents.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(content)
+        code, _, err = run_cli(
+            ["tomography", "--output-dir", str(tmp_path / "run"),
+             "--dataset", str(path)], capsys)
+        assert code == 2, name
+        assert err.startswith("error:"), name
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +403,47 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
         0.224556, abs=1e-5)
     assert parse_kv(stdout_a)["herald_probability"] != \
         parse_kv(stdout_b)["herald_probability"]
+
+
+# every protocol setting with a valid non-default value
+PROTOCOL_SETTINGS = {
+    "f_rep": 80e6,
+    "f_herald": 2e5,
+    "beta_elec": 0.5,
+    "epsilon": 0.25,
+    "window_phase": 0.1,
+    "n_min": 2,
+    "n_max": 10,
+    "per_trip_transmission": 0.99,
+    "readout_trips": 5,
+    "eta_homodyne": 0.8,
+    "photon_fidelity": 0.9,
+    "two_photon_weight": 0.01,
+    "condition_with_detector_efficiency": True,
+    "cutoff": 25,
+    "rng_seed": 3,
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(PROTOCOL_SETTINGS))
+def test_every_protocol_setting_reaches_the_config(tmp_path, capsys, key,
+                                                   source):
+    value = PROTOCOL_SETTINGS[key]
+    argv = ["breed", "--output-dir", str(tmp_path / "run"), "--grid=-1:1:5"]
+    if source == "flag":
+        flag = "--seed" if key == "rng_seed" else "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    else:
+        ini = tmp_path / "protocol.ini"
+        ini.write_text(f"[protocol]\n{key} = {value}\n")
+        argv += ["--config", str(ini)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+    assert set(config) == set(PROTOCOL_SETTINGS)
+    assert config[key] == value
+    assert type(config[key]) is type(value)
 
 
 def test_config_file_error_paths(tmp_path, capsys):

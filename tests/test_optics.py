@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import comb, erf
 
 from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       DomainError, FockCutoff, HeraldImpossibleError,
                       TwoModeState, beam_splitter, breed, coherent_state,
                       condition, fidelity, fidelity_to_pure, fock_state,
-                      homodyne_povm, loss_channel, loss_kraus,
-                      partial_trace, quadrature_wavefunction,
+                      homodyne_povm, loss_channel, partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
 from catbreed.fock import StateVector
 from catbreed.optics import _beam_splitter_unitary, _smear_povm
@@ -184,11 +183,28 @@ def test_loss_preserves_trace_and_positivity():
         out.validate()
 
 
-def test_loss_kraus_completeness():
-    for eta in (0.0, 0.37, 0.841, 1.0):
-        ops = loss_kraus(eta, 12)
-        total = sum(A.conj().T @ A for A in ops)
-        np.testing.assert_allclose(total, np.eye(12), atol=1e-12)
+@pytest.mark.parametrize("d", [5, 21, 41])
+def test_loss_map_matches_kraus_sum(d):
+    # oracle: the Kraus operators A_k|n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k)|n-k>
+    # as dense matrices, applied as sum_k A_k rho A_k^dag and sum_k A_k^dag Pi A_k;
+    # its amplitudes come from comb, not the log domain, so the two agree to
+    # round-off (at most 1e-15 at d = 41), not bit for bit
+    rho = random_density(np.random.default_rng(d), d)
+    pi = homodyne_povm(WINDOW, FockCutoff(d - 1))
+    n = np.arange(d)
+    for eta in (0.0, 0.37, 0.76, 0.841):
+        kraus = []
+        for k in range(d):
+            A = np.zeros((d, d), dtype=complex)
+            A[n[k:] - k, n[k:]] = np.sqrt(comb(n[k:], k) * eta ** (n[k:] - k)
+                                          * (1 - eta) ** k)
+            kraus.append(A)
+        lossy = sum(A @ rho.matrix @ A.conj().T for A in kraus)
+        smeared = sum(A.conj().T @ pi @ A for A in kraus)
+        np.testing.assert_allclose(loss_channel(rho, eta).matrix, lossy,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_smear_povm(pi, eta), smeared,
+                                   rtol=0, atol=1e-14)
 
 
 def test_loss_rejects_out_of_range_transmission():
@@ -243,8 +259,10 @@ def test_povm_smear_commutes_with_phase_rotation():
     np.testing.assert_allclose(via_api, rotated_then_smeared, atol=1e-10)
 
 
-def test_povm_smear_is_unital():
-    np.testing.assert_allclose(_smear_povm(np.eye(14, dtype=complex), 0.76),
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.76, 0.841, 1.0])
+def test_povm_smear_is_unital(eta):
+    # sum_k A_k^dag A_k = 1: the loss channel is trace preserving
+    np.testing.assert_allclose(_smear_povm(np.eye(14, dtype=complex), eta),
                                np.eye(14), atol=1e-12)
 
 

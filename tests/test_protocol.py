@@ -182,6 +182,15 @@ def test_pipeline_states_with_conditioning_inefficiency():
         0.556011684, abs=1e-6)
 
 
+def test_pipeline_states_need_heralds():
+    # without heralds the in-window gap law has no mass to normalize
+    silent = replace(CFG, f_herald=0.0)
+    with pytest.raises(DomainError, match="f_herald"):
+        pipeline_states(silent)
+    with pytest.raises(DomainError, match="f_herald"):
+        fidelity_vs_storage_curve(silent, [1, 5])
+
+
 def test_pipeline_states_are_physical_and_chained():
     states = pipeline_states(CFG)
     states.creation.validate()
