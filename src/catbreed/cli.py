@@ -6,11 +6,11 @@ Wigner grids at selectable correction stages, run the pulse-level timeline
 simulation, generate synthetic homodyne datasets, and reconstruct states
 from datasets with optional bootstrap error bars.
 
-Every run writes its outputs plus a manifest.json into one output
-directory; outputs are written atomically (temp file + rename) and are
-deterministic given the manifest. Exit codes: 0 success, 2 input or
-configuration error, 3 numerical or convergence failure, 4 unexpected
-internal error.
+Every successful run writes its outputs plus a manifest.json into one
+output directory; a failing run writes none. Outputs are written
+atomically (temp file + rename) and are deterministic given the
+manifest. Exit codes: 0 success, 2 input or configuration error, 3
+numerical or convergence failure, 4 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import __version__
 from .errors import (CatbreedError, ConfigError, ConvergenceError,
                      DomainError, HeraldImpossibleError, TruncationError)
 from .fock import (DensityOperator, FockCutoff, TargetCatSpec, fidelity_to_pure,
-                   fock_state, pad_density_operator, target_cat, wigner_grid)
+                   pad_density_operator, target_cat, wigner_grid)
 from .optics import AcceptanceWindow, breed, loss_channel, single_photon_state
 from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
@@ -133,13 +133,11 @@ def _output_dir(args) -> Path:
     return root
 
 
-def _atomic_write(directory: Path, name: str, writer) -> Path:
+def _atomic_write(directory: Path, name: str, writer) -> None:
     """Write via `writer(tmp_path)` then rename into place."""
-    final = directory / name
     tmp = directory / (name + ".tmp")
     writer(tmp)
-    os.replace(tmp, final)
-    return final
+    os.replace(tmp, directory / name)
 
 
 def _write_manifest(directory: Path, command: str, argv, settings: dict,
@@ -196,14 +194,10 @@ def _stage_state(config: ProtocolConfig, stage: str) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, prints its summary lines and returns its
+# output files as {file name: writer(path)}; main writes them
 
-def cmd_breed(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    config = _build_config(settings)
-    out = _output_dir(args)
-
+def cmd_breed(args, config: ProtocolConfig, settings: dict) -> dict:
     photon = single_photon_state(config.photon_fidelity,
                                  config.two_photon_weight, config.cutoff)
     outcome = breed(photon, photon, config.window,
@@ -213,29 +207,20 @@ def cmd_breed(args, argv) -> int:
     axis = _parse_grid(args.grid)
     wmin = float(wigner_grid(outcome.state, axis, axis).min())
 
-    outputs = [
-        _atomic_write(out, "bred_state.csv",
-                      lambda p: write_density_csv(outcome.state, p)).name,
-        _atomic_write(out, "bred_state.meta", lambda p: write_meta(p, {
-            "herald_probability": f"{outcome.probability:.12g}",
-            "fidelity_to_target": f"{fid:.12g}",
-            "wigner_min": f"{wmin:.12g}",
-        })).name,
-    ]
-    _write_manifest(out, "breed", argv, settings, outputs, started)
     print(f"herald_probability = {outcome.probability:.6f}")
     print(f"fidelity_to_target = {fid:.6f}")
     print(f"wigner_min = {wmin:.6f}")
-    print(f"outputs -> {out}")
-    return 0
+    return {
+        "bred_state.csv": lambda p: write_density_csv(outcome.state, p),
+        "bred_state.meta": lambda p: write_meta(p, {
+            "herald_probability": f"{outcome.probability:.12g}",
+            "fidelity_to_target": f"{fid:.12g}",
+            "wigner_min": f"{wmin:.12g}",
+        }),
+    }
 
 
-def cmd_curve(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    config = _build_config(settings)
-    out = _output_dir(args)
-
+def cmd_curve(args, config: ProtocolConfig, settings: dict) -> dict:
     try:
         values = [int(tok) for tok in args.n_max_values.split(",") if tok.strip()]
     except ValueError as exc:
@@ -252,23 +237,13 @@ def cmd_curve(args, argv) -> int:
         print(f"calibrated beta_elec = {beta:.6f}")
 
     rows = fidelity_vs_storage_curve(config, values)
-    outputs = [
-        _atomic_write(out, "curve.csv",
-                      lambda p: write_curve_csv(rows, p)).name,
-    ]
-    _write_manifest(out, "curve", argv, settings, outputs, started)
     rates = [row.rate_hz for row in rows]
     print(f"rows = {len(rows)}")
     print(f"rate_hz range = [{min(rates):.6g}, {max(rates):.6g}]")
-    print(f"outputs -> {out}")
-    return 0
+    return {"curve.csv": lambda p: write_curve_csv(rows, p)}
 
 
-def cmd_wigner(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    out = _output_dir(args)
-
+def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
     corrections = [tok.strip() for tok in args.corrections.split(",") if tok.strip()]
     if not corrections:
         raise ConfigError("need at least one correction stage")
@@ -285,13 +260,12 @@ def cmd_wigner(args, argv) -> int:
             "carries no stage information")
 
     axis = _parse_grid(args.grid)
-    outputs = []
     if args.state_file is not None:
         stage_states = {"none": read_density_csv(args.state_file)}
     else:
-        config = _build_config(settings)
         stage_states = {tok: _stage_state(config, tok) for tok in corrections}
 
+    files = {}
     for tok in corrections:
         grid = wigner_grid(stage_states[tok], axis, axis)
 
@@ -302,26 +276,23 @@ def cmd_wigner(args, argv) -> int:
                     for j, p in enumerate(axis):
                         fh.write(f"{x:.12g},{p:.12g},{grid[i, j]:.12g}\n")
 
-        outputs.append(_atomic_write(out, f"wigner_{tok}.csv", writer).name)
+        files[f"wigner_{tok}.csv"] = writer
         print(f"wigner_min[{tok}] = {grid.min():.6f}")
         print(f"wigner_max[{tok}] = {grid.max():.6f}")
-    _write_manifest(out, "wigner", argv, settings, outputs, started)
-    print(f"outputs -> {out}")
-    return 0
+    return files
 
 
-def cmd_simulate(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    config = _build_config(settings)
-    out = _output_dir(args)
-
+def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
     if args.duration_s <= 0:
         raise ConfigError(f"duration must be > 0 s, got {args.duration_s}")
 
     stats, events = simulate_timeline(config, args.duration_s)
-    p_cond = pipeline_states(config).mean_condition_probability
-    closed_form = generation_rate(config, p_cond)
+    # with no heralds the gap law behind pipeline_states is undefined, but
+    # the closed-form rate is exactly 0
+    closed_form = 0.0
+    if config.f_herald:
+        p_cond = pipeline_states(config).mean_condition_probability
+        closed_form = generation_rate(config, p_cond)
     sigma = math.sqrt(max(stats.successes, 1)) / stats.duration_s
     gap_sigmas = abs(stats.estimated_rate_hz - closed_form) / sigma
 
@@ -342,27 +313,15 @@ def cmd_simulate(args, argv) -> int:
         else stats.mean_output_fidelity,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    outputs = [
-        _atomic_write(out, "stats.json",
-                      lambda p: Path(p).write_text(text)).name,
-        _atomic_write(out, "events.jsonl",
-                      lambda p: write_event_log(events, p)).name,
-    ]
-    _write_manifest(out, "simulate", argv, settings, outputs, started)
     print(f"successes = {stats.successes} in {stats.duration_s:.6g} s")
     print(f"estimated_rate_hz = {stats.estimated_rate_hz:.6g}")
     print(f"closed_form_rate_hz = {closed_form:.6g}")
     print(f"rate_gap_sigmas = {gap_sigmas:.3f}")
-    print(f"outputs -> {out}")
-    return 0
+    return {"stats.json": lambda p: Path(p).write_text(text),
+            "events.jsonl": lambda p: write_event_log(events, p)}
 
 
-def cmd_sample(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    config = _build_config(settings)
-    out = _output_dir(args)
-
+def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
     if args.state_file is not None:
         state = read_density_csv(args.state_file)
         source = str(args.state_file)
@@ -371,57 +330,49 @@ def cmd_sample(args, argv) -> int:
             raise ConfigError(
                 f"unknown source {args.source!r}; choose creation, stored, "
                 f"measured, or pass --state-file")
-        state = _stage_state(config, {"creation": "both",
-                                      "stored": "detection",
-                                      "measured": "none"}[args.source])
+        state = getattr(pipeline_states(config), args.source)
         source = args.source
 
     phases = _parse_phase_spec(args.phases)
     rng = np.random.default_rng(config.rng_seed)
     dataset = sample_homodyne_phases(state, phases, args.count, rng,
                                      args.phase_noise_sigma)
-    outputs = [
-        _atomic_write(out, "dataset.csv",
-                      lambda p: save_dataset_csv(dataset, p)).name,
-        _atomic_write(out, "dataset.meta", lambda p: write_meta(p, {
+    print(f"samples = {len(dataset)} at {len(phases)} phases from {source}")
+    return {
+        "dataset.csv": lambda p: save_dataset_csv(dataset, p),
+        "dataset.meta": lambda p: write_meta(p, {
             "source": source,
             "count": args.count,
             "phases": ",".join(f"{t:.12g}" for t in phases),
             "phase_noise_sigma": args.phase_noise_sigma,
             "seed": config.rng_seed,
-        })).name,
-    ]
-    _write_manifest(out, "sample", argv, settings, outputs, started)
-    print(f"samples = {len(dataset)} at {len(phases)} phases from {source}")
-    print(f"outputs -> {out}")
-    return 0
+        }),
+    }
 
 
-def cmd_tomography(args, argv) -> int:
-    started = time.time()
-    settings = _resolve_settings(args)
-    out = _output_dir(args)
-
+def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
     data = load_dataset_csv(args.dataset)
-    cutoff = FockCutoff(args.reconstruction_cutoff)
-    result = maxlik_reconstruct(
-        data, cutoff,
-        efficiency_model=args.efficiency_model,
-        eta_detection=settings["eta_homodyne"],
-        storage_transmission=settings["per_trip_transmission"]
-        ** settings["readout_trips"],
-        max_iter=args.max_iter,
-        tol_per_sample=args.tol,
-    )
-    rho_hat = result.rho_hat
-    target_cutoff = FockCutoff(max(cutoff.n_max, 20))
+    fit = {
+        "cutoff": FockCutoff(args.reconstruction_cutoff),
+        "efficiency_model": args.efficiency_model,
+        "eta_detection": config.eta_homodyne,
+        "storage_transmission":
+            config.per_trip_transmission ** config.readout_trips,
+        "max_iter": args.max_iter,
+        "tol_per_sample": args.tol,
+    }
+    result = maxlik_reconstruct(data, **fit)
+    target_cutoff = FockCutoff(max(fit["cutoff"].n_max, 20))
     target = target_cat(TargetCatSpec(), target_cutoff)
-    fid = fidelity_to_pure(pad_density_operator(rho_hat, target_cutoff), target)
 
-    outputs = [
-        _atomic_write(out, "rho_hat.csv",
-                      lambda p: write_density_csv(rho_hat, p)).name,
-        _atomic_write(out, "rho_hat.meta", lambda p: write_meta(p, {
+    def fidelity(res) -> float:
+        padded = pad_density_operator(res.rho_hat, target_cutoff)
+        return fidelity_to_pure(padded, target)
+
+    fid = fidelity(result)
+    files = {
+        "rho_hat.csv": lambda p: write_density_csv(result.rho_hat, p),
+        "rho_hat.meta": lambda p: write_meta(p, {
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
             "final_likelihood_gain": f"{result.final_likelihood_gain:.6g}",
@@ -429,54 +380,36 @@ def cmd_tomography(args, argv) -> int:
             "efficiency_model": result.efficiency_model,
             "samples": len(data),
             "fidelity_to_target": f"{fid:.12g}",
-        })).name,
-    ]
+        }),
+    }
     print(f"iterations = {result.iterations} ({result.stop_reason})")
     print(f"fidelity_to_target = {fid:.6f}")
-    pops = ", ".join(f"{p:.4f}" for p in rho_hat.populations()[:5])
+    pops = ", ".join(f"{p:.4f}" for p in result.rho_hat.populations()[:5])
     print(f"populations[0:5] = [{pops}]")
 
     if args.bootstrap > 0:
         axis = _parse_grid(args.grid)
-
-        def stat_fidelity(res):
-            padded = pad_density_operator(res.rho_hat, target_cutoff)
-            return fidelity_to_pure(padded, target)
-
-        def stat_wigner_min(res):
-            return float(wigner_grid(res.rho_hat, axis, axis).min())
-
-        statistics = {"fidelity_to_target": stat_fidelity,
-                      "wigner_min": stat_wigner_min}
+        statistics = {
+            "fidelity_to_target": fidelity,
+            "wigner_min":
+                lambda res: float(wigner_grid(res.rho_hat, axis, axis).min()),
+        }
         for n in range(5):
             statistics[f"population_{n}"] = (
                 lambda res, n=n: float(res.rho_hat.populations()[n]))
 
-        rng = np.random.default_rng(settings["rng_seed"])
-        results = bootstrap_many(
-            data, args.bootstrap, statistics, rng,
-            cutoff=cutoff,
-            efficiency_model=args.efficiency_model,
-            eta_detection=settings["eta_homodyne"],
-            storage_transmission=settings["per_trip_transmission"]
-            ** settings["readout_trips"],
-            max_iter=args.max_iter,
-            tol_per_sample=args.tol,
-        )
+        rng = np.random.default_rng(config.rng_seed)
+        results = bootstrap_many(data, args.bootstrap, statistics, rng, **fit)
         block = {name: {"mean": r.mean, "std": r.std, "ci_low": r.ci_low,
                         "ci_high": r.ci_high, "n_failed": r.n_failed}
                  for name, r in results.items()}
         text = json.dumps(block, indent=2, sort_keys=True) + "\n"
-        outputs.append(_atomic_write(out, "bootstrap.json",
-                                     lambda p: Path(p).write_text(text)).name)
+        files["bootstrap.json"] = lambda p: Path(p).write_text(text)
         for name in sorted(results):
             r = results[name]
             print(f"bootstrap[{name}]: mean = {r.mean:.4f}, "
                   f"ci = [{r.ci_low:.4f}, {r.ci_high:.4f}]")
-
-    _write_manifest(out, "tomography", argv, settings, outputs, started)
-    print(f"outputs -> {out}")
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +502,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        started = time.time()
+        settings = _resolve_settings(args)
+        config = _build_config(settings)
+        out = _output_dir(args)
+        files = args.func(args, config, settings)
+        for name, writer in files.items():
+            _atomic_write(out, name, writer)
+        _write_manifest(out, args.command, argv, settings, list(files), started)
+        print(f"outputs -> {out}")
+        return 0
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ Conventions fixed package-wide:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -82,6 +82,20 @@ class StateVector:
         return DensityOperator(np.outer(psi, psi.conj()), self.cutoff)
 
 
+def _check_density_matrix(mat: np.ndarray, what: str) -> None:
+    """Raise DomainError unless ``mat`` is Hermitian, of unit trace and
+    positive semidefinite within the module tolerances."""
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > HERMITICITY_TOL:
+        raise DomainError(f"{what} not Hermitian (deviation {herm:.3e})")
+    tr = float(np.real(np.trace(mat)))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise DomainError(f"{what} trace {tr} differs from 1 beyond tolerance")
+    lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
+    if lam_min < POSITIVITY_TOL:
+        raise DomainError(f"{what} has negative eigenvalue {lam_min:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Mixed state in the truncated Fock basis.
@@ -101,16 +115,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
 
     def validate(self) -> "DensityOperator":
-        mat = self.matrix
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise DomainError(f"matrix not Hermitian (deviation {herm:.3e})")
-        tr = float(np.real(np.trace(mat)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace {tr} differs from 1 beyond tolerance")
-        lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if lam_min < POSITIVITY_TOL:
-            raise DomainError(f"negative eigenvalue {lam_min:.3e}")
+        _check_density_matrix(self.matrix, "density matrix")
         return self
 
     @property
@@ -320,27 +325,21 @@ def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:
     diag_scaled = rho.matrix[:M, :M] * (2.0 - np.eye(M))
 
     def lag_clenshaw(L: int, xx: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # Clenshaw sum of sum_k c_k L_k^L(xx) over normalized Laguerre terms
-        if len(c) == 1:
-            y0 = c[0] * np.ones_like(xx)
-            y1 = np.zeros_like(xx)
-        elif len(c) == 2:
-            y0 = c[0] * np.ones_like(xx)
-            y1 = c[1] * np.ones_like(xx)
-        else:
-            k = len(c)
-            y0 = c[-2] * np.ones_like(xx)
-            y1 = c[-1] * np.ones_like(xx)
-            for i in range(3, len(c) + 1):
-                k -= 1
-                y0, y1 = (
-                    c[-i] - y1 * np.sqrt((k - 1.0) * (L + k - 1.0) / ((L + k) * k)),
-                    y0 - y1 * (L + 2.0 * k - 1 - xx) / np.sqrt((L + k) * k),
-                )
+        # Clenshaw sum of sum_k c_k L_k^L(xx) over normalized Laguerre
+        # terms, for len(c) >= 2
+        k = len(c)
+        y0 = c[-2] * np.ones_like(xx)
+        y1 = c[-1] * np.ones_like(xx)
+        for i in range(3, len(c) + 1):
+            k -= 1
+            y0, y1 = (
+                c[-i] - y1 * np.sqrt((k - 1.0) * (L + k - 1.0) / ((L + k) * k)),
+                y0 - y1 * (L + 2.0 * k - 1 - xx) / np.sqrt((L + k) * k),
+            )
         return y0 - y1 * (L + 1 - xx) / np.sqrt(L + 1.0)
 
-    w = np.zeros_like(A2, dtype=complex)
-    w += lag_clenshaw(M - 1, B, np.array([diag_scaled[0, M - 1]]))
+    # the outermost superdiagonal has one term, L_0 = 1
+    w = diag_scaled[0, M - 1] * np.ones_like(A2)
     for L in range(M - 2, -1, -1):
         w = lag_clenshaw(L, B, np.diag(diag_scaled, L)) + w * A2 / np.sqrt(L + 1.0)
 

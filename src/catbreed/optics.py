@@ -19,13 +19,10 @@ from .errors import DomainError, HeraldImpossibleError
 from .fock import (
     DensityOperator,
     FockCutoff,
-    StateVector,
+    _check_density_matrix,
     _support_dimension,
     hermite_functions,
     pad_density_operator,
-    HERMITICITY_TOL,
-    TRACE_TOL,
-    POSITIVITY_TOL,
 )
 
 # quadrature wavefunction products are numerically zero beyond |x| = 12
@@ -52,16 +49,7 @@ class TwoModeState:
         object.__setattr__(self, "matrix", mat)
 
     def validate(self) -> "TwoModeState":
-        mat = self.matrix
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise DomainError(f"two-mode state not Hermitian (deviation {herm:.3e})")
-        tr = float(np.real(np.trace(mat)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"two-mode trace {tr} differs from 1")
-        lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if lam_min < POSITIVITY_TOL:
-            raise DomainError(f"two-mode negative eigenvalue {lam_min:.3e}")
+        _check_density_matrix(self.matrix, "two-mode state")
         return self
 
 

@@ -222,9 +222,17 @@ def _efficiency_transmission(efficiency_model: str, eta_detection: float,
             f"got {efficiency_model!r}")
     if efficiency_model == "none":
         return 1.0
-    if efficiency_model == "detection":
-        return eta_detection
-    return eta_detection * storage_transmission
+    factors = {"eta_detection": eta_detection}
+    if efficiency_model == "detection+storage":
+        factors["storage_transmission"] = storage_transmission
+    eta_total = 1.0
+    for name, value in factors.items():
+        # the POVM is smeared only below 1, so a factor above 1 would
+        # silently fit the uncorrected model
+        if not 0.0 < value <= 1.0:
+            raise DomainError(f"{name} must lie in (0, 1], got {value}")
+        eta_total *= value
+    return eta_total
 
 
 def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
@@ -263,6 +271,8 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
     Raises:
         ConvergenceError: dataset smaller than the basis dimension
             (under-determined problem).
+        DomainError: unknown efficiency model, an efficiency it uses
+            outside (0, 1], or samples outside [-12, 12].
     """
     d = cutoff.dimension
     if len(data) < d:
@@ -272,9 +282,14 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
     eta_total = _efficiency_transmission(efficiency_model, eta_detection,
                                          storage_transmission)
 
+    edges = _bin_edges()
+    outside = int(np.count_nonzero((data.xs < edges[0]) | (data.xs > edges[-1])))
+    if outside:
+        raise DomainError(
+            f"{outside} of {len(data)} samples lie outside the binned "
+            f"quadrature span [{edges[0]:g}, {edges[-1]:g}]")
     phases = data.unique_phases()
     povm = _binned_povm(d, tuple(float(t) for t in phases), float(eta_total))
-    edges = _bin_edges()
     n_bins = len(edges) - 1
     counts = np.zeros(len(phases) * n_bins)
     phase_of = np.searchsorted(phases, np.round(data.thetas, 12))

@@ -260,6 +260,22 @@ def test_simulate_is_reproducible(tmp_path, capsys):
     assert (out_a / "events.jsonl").read_bytes() == (out_b / "events.jsonl").read_bytes()
 
 
+def test_simulate_without_heralds_reports_zero_rate(tmp_path, capsys):
+    # the heralded mixture is undefined at f_herald = 0, but the timeline
+    # and the closed-form rate are not: both give zero
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["simulate", "--output-dir", str(out), "--f-herald", "0",
+         "--duration-s", "1e-4"], capsys)
+    assert code == 0, err
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["attempts"] == stats["successes"] == 0
+    assert stats["closed_form_rate_hz"] == 0.0
+    assert stats["rate_gap_sigmas"] == 0.0
+    assert (out / "events.jsonl").read_text() == ""
+    assert "closed_form_rate_hz = 0" in stdout
+
+
 def test_simulate_rejects_zero_duration(tmp_path, capsys):
     code, _, _ = run_cli(
         ["simulate", "--output-dir", str(tmp_path / "run"),
@@ -369,6 +385,8 @@ def test_tomography_rejects_bad_datasets(tmp_path, capsys):
         "one_column": b"theta,x\n0.0\n0.5\n",
         "three_columns": b"theta,x\n0.0,0.1,7\n0.5,0.2,7\n",
         "not_text": b"\xff\xfetheta,x\n",
+        # enough rows for the default basis, one outside the binned span
+        "out_of_span": b"theta,x\n" + b"0.0,0.1\n" * 12 + b"0.0,50\n",
     }
     for name, content in contents.items():
         path = tmp_path / f"{name}.csv"
@@ -378,6 +396,61 @@ def test_tomography_rejects_bad_datasets(tmp_path, capsys):
              "--dataset", str(path)], capsys)
         assert code == 2, name
         assert err.startswith("error:"), name
+
+
+# ---------------------------------------------------------------------------
+# the command runner
+
+def test_every_command_writes_its_files_and_manifest(tmp_path, capsys):
+    state_path = tmp_path / "vacuum.csv"
+    write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
+    dataset = tmp_path / "sample" / "dataset.csv"
+    commands = {
+        "breed": ["--grid=-1:1:5"],
+        "curve": ["--n-max-values", "1,5"],
+        "wigner": ["--pipeline", "--corrections", "none,both",
+                   "--grid=-1:1:5"],
+        "simulate": SIM_ARGS,
+        "sample": ["--state-file", str(state_path), "--count", "600",
+                   "--phases", "4", "--seed", "6"],
+        "tomography": ["--dataset", str(dataset), "--reconstruction-cutoff",
+                       "4", "--bootstrap", "50", "--grid=-1:1:5"],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / command
+        code, stdout, err = run_cli([command, "--output-dir", str(out)] + extra,
+                                    capsys)
+        assert code == 0, (command, err)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == files, command
+        assert stdout.splitlines()[-1] == f"outputs -> {out}"
+
+
+@pytest.mark.parametrize("case", ["eta_homodyne", "n_min", "bootstrap"])
+def test_failing_command_writes_nothing(tmp_path, capsys, case):
+    # every command validates the protocol settings, and a command that
+    # fails part-way leaves no output files behind
+    state_path = tmp_path / "vacuum.csv"
+    write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("theta,x\n" + "".join(
+        f"{0.5 * (k % 4)},{0.1 * k - 1.0}\n" for k in range(20)))
+    out = tmp_path / "run"
+    tomography = ["tomography", "--output-dir", str(out), "--dataset",
+                  str(dataset), "--reconstruction-cutoff", "4"]
+    argv = {
+        "eta_homodyne": tomography + ["--efficiency-model", "detection",
+                                      "--eta-homodyne", "1.5"],
+        "n_min": ["wigner", "--output-dir", str(out), "--state-file",
+                  str(state_path), "--n-min", "0"],
+        "bootstrap": tomography + ["--bootstrap", "10"],
+    }[case]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,30 @@ def test_maxlik_rejects_unknown_efficiency_model():
     data = sample_homodyne(vac, 0.0, 100, np.random.default_rng(53))
     with pytest.raises(DomainError):
         maxlik_reconstruct(data, FockCutoff(4), efficiency_model="psychic")
+    # efficiencies the model uses must lie in (0, 1]; above 1 the POVM
+    # would go unsmeared and the fit would return the 'none' estimate
+    bad = [{"efficiency_model": "detection", "eta_detection": 1.5},
+           {"efficiency_model": "detection", "eta_detection": 0.0},
+           {"efficiency_model": "detection+storage", "eta_detection": 0.9,
+            "storage_transmission": 2.0},
+           {"efficiency_model": "detection+storage", "eta_detection": -0.9,
+            "storage_transmission": 0.5}]
+    for kwargs in bad:
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            maxlik_reconstruct(data, FockCutoff(4), **kwargs)
+
+
+def test_maxlik_rejects_samples_outside_the_binned_span():
+    vac = fock_state(0, FockCutoff(4)).to_density()
+    data = sample_homodyne(vac, 0.0, 600, np.random.default_rng(53))
+    xs = data.xs.copy()
+    xs[:100] = 50.0
+    with pytest.raises(DomainError, match="100 of 600 samples"):
+        maxlik_reconstruct(HomodyneDataset(data.thetas, xs), FockCutoff(4))
+    # the span's own edges are inside it
+    xs[:100] = 12.0
+    xs[100] = -12.0
+    maxlik_reconstruct(HomodyneDataset(data.thetas, xs), FockCutoff(4))
 
 
 def test_maxlik_detection_correction_round_trip():
