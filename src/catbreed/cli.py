@@ -44,6 +44,9 @@ from .tomography import (bootstrap_many, load_dataset_csv, maxlik_reconstruct,
 
 OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
+# a Wigner grid peaks at about 145 bytes per point (0.6 GB at this cap of
+# 2001 x 2001 points); larger grids are refused before they allocate
+MAX_GRID_POINTS = 2001
 CORRECTION_STAGES = ("none", "storage", "detection", "both")
 
 
@@ -164,8 +167,9 @@ def _parse_grid(spec: str):
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid must be min:max:points, got {spec!r}") from exc
-    if not (lo < hi and num >= 2):
-        raise ConfigError(f"grid needs min < max and points >= 2, got {spec!r}")
+    if not (lo < hi and 2 <= num <= MAX_GRID_POINTS):
+        raise ConfigError(f"grid needs min < max and 2 <= points <= "
+                          f"{MAX_GRID_POINTS}, got {spec!r}")
     return np.linspace(lo, hi, num)
 
 
@@ -507,8 +511,8 @@ def main(argv=None) -> int:
         started = time.time()
         settings = _resolve_settings(args)
         config = _build_config(settings)
-        out = _output_dir(args)
         files = args.func(args, config, settings)
+        out = _output_dir(args)
         for name, writer in files.items():
             _atomic_write(out, name, writer)
         _write_manifest(out, args.command, argv, settings, list(files), started)

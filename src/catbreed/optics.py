@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import DomainError, HeraldImpossibleError
 from .fock import (
     DensityOperator,
     FockCutoff,
     _check_density_matrix,
+    _exp_minus_i,
+    _log_factorial,
+    _phase_rotation,
     _support_dimension,
     hermite_functions,
     pad_density_operator,
@@ -73,16 +74,16 @@ class HeraldOutcome:
     probability: float
 
 
-@lru_cache(maxsize=16)
-def _beam_splitter_unitary(dimension: int, theta: float, phase: float) -> np.ndarray:
-    """U = expm(-i theta (e^{i phase} a^dag b + h.c.)), built block-by-block.
+def _beam_splitter_blocks(dimension: int, theta: float, phase: float) -> list:
+    """exp(-i theta G) of G = e^{i phase} a^dag b + h.c. on each
+    total-photon sector.
 
-    The generator conserves total photon number, so U is block diagonal
-    over the total-n sectors; exponentiating each (N+1)-sized block is
-    far cheaper than one dense expm of size dimension^2.
+    G conserves the total photon number, so its exponential is block
+    diagonal over the sectors. Returns one (flat two-mode indices,
+    block) pair per sector, total = 0 .. 2 (dimension - 1).
     """
     d = dimension
-    U = np.zeros((d * d, d * d), dtype=complex)
+    blocks = []
     for total in range(2 * d - 1):
         k_lo = max(0, total - (d - 1))
         k_hi = min(total, d - 1)
@@ -95,7 +96,18 @@ def _beam_splitter_unitary(dimension: int, theta: float, phase: float) -> np.nda
             amp = np.sqrt((k + 1.0) * (total - k))
             gen[i + 1, i] = np.exp(1j * phase) * amp
             gen[i, i + 1] = np.exp(-1j * phase) * amp
-        block = expm(-1j * theta * gen)
+        blocks.append((idx, _exp_minus_i(theta * gen)))
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _beam_splitter_unitary(dimension: int, theta: float, phase: float) -> np.ndarray:
+    """U = exp(-i theta (e^{i phase} a^dag b + h.c.)), assembled from its
+    total-photon sector blocks, which are far cheaper to exponentiate than
+    one dense matrix of size dimension^2."""
+    d = dimension
+    U = np.zeros((d * d, d * d), dtype=complex)
+    for idx, block in _beam_splitter_blocks(d, theta, phase):
         U[np.ix_(idx, idx)] = block
     U.setflags(write=False)
     return U
@@ -154,7 +166,7 @@ def _loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
     if transmission == 0.0:
         # everything decays to vacuum: |k> -> |0> with amplitude 1
         return np.eye(dimension, dtype=complex)
-    log_factorial = gammaln(np.arange(dimension) + 1)
+    log_factorial = _log_factorial(dimension)
     # complex, so that the products with complex states need no cast
     b = np.zeros((dimension, dimension), dtype=complex)
     for k in range(dimension):
@@ -239,8 +251,7 @@ def homodyne_povm(window: AcceptanceWindow, cutoff: FockCutoff,
     if detector_efficiency < 1.0:
         pi = _smear_povm(pi, detector_efficiency)
     if window.phase != 0.0:
-        n = np.arange(cutoff.dimension)
-        pi = pi * np.exp(1j * window.phase * (n[None, :] - n[:, None]))
+        pi = pi * _phase_rotation(window.phase, cutoff.dimension)
     return pi
 
 

@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fock import DensityOperator, FockCutoff, hermite_functions
+from .fock import (DensityOperator, FockCutoff, _phase_rotation,
+                   hermite_functions)
 from .optics import QUADRATURE_SUPPORT, _smear_povm, _window_matrix
 
 GRID_SPAN = QUADRATURE_SUPPORT     # sampling grid covers [-12, 12]
@@ -76,8 +77,7 @@ def marginal_pdf(rho: DensityOperator, theta: float):
 
     pr(x|theta) = sum_mn rho_mn e^{i(n-m)theta} psi_m(x) psi_n(x).
     """
-    n = np.arange(rho.dimension)
-    rotated = rho.matrix * np.exp(1j * theta * (n[None, :] - n[:, None]))
+    rotated = rho.matrix * _phase_rotation(theta, rho.dimension)
 
     def pdf(x):
         scalar = np.isscalar(x)
@@ -194,12 +194,8 @@ def _binned_povm(dimension: int, phases_key: tuple, eta_total: float) -> np.ndar
     ])
     if eta_total < 1.0:
         base = np.stack([_smear_povm(b, eta_total) for b in base])
-    n = np.arange(dimension)
-    stacks = []
-    for th in phases_key:
-        rot = np.exp(1j * th * (n[None, :] - n[:, None]))
-        stacks.append(base * rot[None, :, :])
-    povm = np.concatenate(stacks)
+    povm = np.concatenate([base * _phase_rotation(th, dimension)
+                           for th in phases_key])
     povm.setflags(write=False)
     return povm
 
@@ -261,7 +257,7 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
             correction models.
         storage_transmission: storage-loss transmission composed into
             the 'detection+storage' model.
-        max_iter: iteration cap.
+        max_iter: iteration cap, >= 1.
         tol_per_sample: stop once the per-sample log-likelihood gain
             falls below this.
 
@@ -272,8 +268,10 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
         ConvergenceError: dataset smaller than the basis dimension
             (under-determined problem).
         DomainError: unknown efficiency model, an efficiency it uses
-            outside (0, 1], or samples outside [-12, 12].
+            outside (0, 1], samples outside [-12, 12], or max_iter < 1.
     """
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     d = cutoff.dimension
     if len(data) < d:
         raise ConvergenceError(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catbreed
 from catbreed import (EVENT_KINDS, FockCutoff, ProtocolConfig, TargetCatSpec,
                       fock_state, pipeline_states, read_density_csv, read_meta,
                       target_cat, wigner_grid, write_density_csv)
@@ -428,10 +433,12 @@ def test_every_command_writes_its_files_and_manifest(tmp_path, capsys):
         assert stdout.splitlines()[-1] == f"outputs -> {out}"
 
 
-@pytest.mark.parametrize("case", ["eta_homodyne", "n_min", "bootstrap"])
+@pytest.mark.parametrize("case", ["eta_homodyne", "n_min", "bootstrap",
+                                  "max_iter", "breed_grid", "wigner_grid",
+                                  "bootstrap_grid"])
 def test_failing_command_writes_nothing(tmp_path, capsys, case):
     # every command validates the protocol settings, and a command that
-    # fails part-way leaves no output files behind
+    # fails part-way leaves not even its output directory behind
     state_path = tmp_path / "vacuum.csv"
     write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
     dataset = tmp_path / "dataset.csv"
@@ -440,17 +447,38 @@ def test_failing_command_writes_nothing(tmp_path, capsys, case):
     out = tmp_path / "run"
     tomography = ["tomography", "--output-dir", str(out), "--dataset",
                   str(dataset), "--reconstruction-cutoff", "4"]
+    huge_grid = "--grid=-4:4:100000"
     argv = {
         "eta_homodyne": tomography + ["--efficiency-model", "detection",
                                       "--eta-homodyne", "1.5"],
         "n_min": ["wigner", "--output-dir", str(out), "--state-file",
                   str(state_path), "--n-min", "0"],
         "bootstrap": tomography + ["--bootstrap", "10"],
+        "max_iter": tomography + ["--max-iter", "0"],
+        # 100000^2 Wigner points would need about 1.5 TB; the grid cap
+        # refuses them before anything of that size is allocated
+        "breed_grid": ["breed", "--output-dir", str(out), huge_grid],
+        "wigner_grid": ["wigner", "--output-dir", str(out), "--pipeline",
+                        huge_grid],
+        "bootstrap_grid": tomography + ["--bootstrap", "50", huge_grid],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle only
+    src = str(Path(catbreed.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, catbreed.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

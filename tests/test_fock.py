@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import eval_hermite, gammaln
 
 from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
@@ -11,6 +12,7 @@ from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
                       parity_expectation, purity, quadrature_wavefunction,
                       squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
                       wigner_grid)
+from catbreed.fock import _log_factorial
 from conftest import random_density, random_pure
 
 
@@ -170,6 +172,26 @@ def test_squeeze_matrix_unitary_within_tolerance():
 def test_squeeze_matrix_rejects_extreme_values():
     with pytest.raises(DomainError):
         squeeze_matrix(25.0, FockCutoff(30))
+
+
+@pytest.mark.parametrize("s_db", [3.64, -3.64, 15.0, -15.0])
+@pytest.mark.parametrize("n_max", [20, 40, 60, 80])
+def test_squeeze_matrix_matches_scipy_expm(s_db, n_max):
+    a = annihilation_matrix(n_max + 1)
+    r = squeeze_db_to_r(s_db)
+    reference = expm((r / 2.0) * (a @ a - a.conj().T @ a.conj().T))
+    S = squeeze_matrix(s_db, FockCutoff(n_max))
+    assert np.max(np.abs(S - reference)) <= 1e-13
+
+
+def test_log_factorial_matches_scipy_gammaln():
+    n = np.arange(400)
+    reference = gammaln(n + 1.0)
+    table = _log_factorial(400)
+    assert table.shape == (400,)
+    # ln 0! = ln 1! = 0 exactly; elsewhere the relative error is round-off
+    assert table[0] == 0.0 and table[1] == 0.0
+    assert np.max(np.abs(table[2:] - reference[2:]) / reference[2:]) <= 1e-15
 
 
 def test_squeeze_db_to_r_matches_variance_convention():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import comb, erf
 
 from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
@@ -10,7 +11,8 @@ from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       homodyne_povm, loss_channel, partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
 from catbreed.fock import StateVector
-from catbreed.optics import _beam_splitter_unitary, _smear_povm
+from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary,
+                             _smear_povm)
 from conftest import random_density, random_pure
 
 CUT = FockCutoff(20)
@@ -92,6 +94,26 @@ def test_double_pass_is_phased_swap_on_complete_sectors():
             expected = np.zeros(d * d, dtype=complex)
             expected[m * d + n] = (-1j) ** (n + m)
             np.testing.assert_allclose(col, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("d", [3, 21, 41, 81])
+@pytest.mark.parametrize("theta,phase", [(np.pi / 4, 0.0), (0.3, 1.1)])
+def test_beam_splitter_blocks_match_scipy_expm(d, theta, phase):
+    blocks = _beam_splitter_blocks(d, theta, phase)
+    # the sectors partition the two-mode basis
+    flat = np.sort(np.concatenate([idx for idx, _ in blocks]))
+    assert np.array_equal(flat, np.arange(d * d))
+    for idx, block in blocks:
+        n_a, n_b = idx // d, idx % d
+        assert np.all(n_a + n_b == n_a[0] + n_b[0])
+        # a^dag b maps |n_a, n_b> to sqrt((n_a + 1) n_b) |n_a + 1, n_b - 1>
+        gen = np.zeros((len(idx), len(idx)), dtype=complex)
+        for i in range(len(idx) - 1):
+            amp = np.sqrt((n_a[i] + 1.0) * n_b[i])
+            gen[i + 1, i] = np.exp(1j * phase) * amp
+            gen[i, i + 1] = np.exp(-1j * phase) * amp
+        reference = expm(-1j * theta * gen)
+        assert np.max(np.abs(block - reference)) <= 1e-13
 
 
 def test_beam_splitter_rejects_bad_inputs():

@@ -223,6 +223,19 @@ def test_maxlik_rejects_samples_outside_the_binned_span():
     maxlik_reconstruct(HomodyneDataset(data.thetas, xs), FockCutoff(4))
 
 
+def test_maxlik_rejects_iteration_cap_below_one():
+    vac = fock_state(0, FockCutoff(4)).to_density()
+    data = sample_homodyne(vac, 0.0, 100, np.random.default_rng(54))
+    for max_iter in (0, -3):
+        with pytest.raises(DomainError, match="max_iter must be >= 1"):
+            maxlik_reconstruct(data, FockCutoff(4), max_iter=max_iter)
+    # one iteration evaluates the likelihood once and stops at the cap
+    result = maxlik_reconstruct(data, FockCutoff(4), max_iter=1)
+    assert result.iterations == 1
+    assert len(result.likelihood_history) == 1
+    assert result.stop_reason == "max_iterations"
+
+
 def test_maxlik_detection_correction_round_trip():
     # degrade the state exactly as the lossy detector would, then ask the
     # corrected reconstruction for the state before the detector
