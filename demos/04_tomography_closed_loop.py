@@ -33,6 +33,8 @@ def main():
     result = maxlik_reconstruct(data, RECONSTRUCTION_CUTOFF)
     print(f"reconstruction stopped after {result.iterations} iterations "
           f"({result.stop_reason})")
+    print(f"no state is more likely by more than {result.gap_bound:.1e} "
+          f"log-likelihood per sample (certified gap bound)")
 
     truth = truncate(measured, RECONSTRUCTION_CUTOFF)
     print(f"fidelity to the true measured state: "

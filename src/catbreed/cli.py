@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -37,10 +38,10 @@ from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        pipeline_states, simulate_timeline, write_curve_csv,
                        write_event_log)
-from .tomography import (bootstrap_many, load_dataset_csv, maxlik_reconstruct,
-                         read_density_csv, sample_homodyne_phases,
-                         save_dataset_csv, uniform_phases, write_density_csv,
-                         write_meta)
+from .tomography import (MIN_RESAMPLES, bootstrap_many, load_dataset_csv,
+                         maxlik_reconstruct, read_density_csv,
+                         sample_homodyne_phases, save_dataset_csv,
+                         uniform_phases, write_density_csv, write_meta)
 
 OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
@@ -129,11 +130,20 @@ def _build_config(settings: dict) -> ProtocolConfig:
 
 def _output_dir(args) -> Path:
     if getattr(args, "output_dir", None):
-        root = Path(args.output_dir)
-    else:
-        root = Path(os.environ.get(OUTPUT_ROOT_ENV, "catbreed-out")) / args.command
-    root.mkdir(parents=True, exist_ok=True)
-    return root
+        return Path(args.output_dir)
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, "catbreed-out")) / args.command
+
+
+def _make_dirs(directory: Path) -> list:
+    """Create ``directory`` and its missing parents; return the ones this
+    call created, deepest first."""
+    created = []
+    probe = directory
+    while not probe.exists():
+        created.append(probe)
+        probe = probe.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    return created
 
 
 def _atomic_write(directory: Path, name: str, writer) -> None:
@@ -356,6 +366,11 @@ def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
 
 def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
     data = load_dataset_csv(args.dataset)
+    # refuse bad bootstrap settings before the point fit, which takes seconds
+    if args.bootstrap and args.bootstrap < MIN_RESAMPLES:
+        raise ConfigError(f"--bootstrap must be 0 or >= {MIN_RESAMPLES}, "
+                          f"got {args.bootstrap}")
+    axis = _parse_grid(args.grid) if args.bootstrap else None
     fit = {
         "cutoff": FockCutoff(args.reconstruction_cutoff),
         "efficiency_model": args.efficiency_model,
@@ -381,6 +396,7 @@ def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
             "stop_reason": result.stop_reason,
             "final_likelihood_gain": f"{result.final_likelihood_gain:.6g}",
             "log_likelihood": f"{result.likelihood_history[-1]:.12g}",
+            "gap_bound": f"{result.gap_bound:.6g}",
             "efficiency_model": result.efficiency_model,
             "samples": len(data),
             "fidelity_to_target": f"{fid:.12g}",
@@ -391,8 +407,7 @@ def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
     pops = ", ".join(f"{p:.4f}" for p in result.rho_hat.populations()[:5])
     print(f"populations[0:5] = [{pops}]")
 
-    if args.bootstrap > 0:
-        axis = _parse_grid(args.grid)
+    if args.bootstrap:
         statistics = {
             "fidelity_to_target": fidelity,
             "wigner_min":
@@ -513,9 +528,25 @@ def main(argv=None) -> int:
         config = _build_config(settings)
         files = args.func(args, config, settings)
         out = _output_dir(args)
-        for name, writer in files.items():
-            _atomic_write(out, name, writer)
-        _write_manifest(out, args.command, argv, settings, list(files), started)
+        created = _make_dirs(out)
+        written = []
+        try:
+            for name, writer in files.items():
+                written.append(name)
+                _atomic_write(out, name, writer)
+            written.append("manifest.json")
+            _write_manifest(out, args.command, argv, settings, list(files),
+                            started)
+        except BaseException:
+            # a run that cannot write all its outputs leaves none of them,
+            # and removes only the directories it created itself
+            for name in written:
+                (out / name).unlink(missing_ok=True)
+                (out / (name + ".tmp")).unlink(missing_ok=True)
+            for directory in created:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+            raise
         print(f"outputs -> {out}")
         return 0
     except (ConfigError, DomainError) as exc:

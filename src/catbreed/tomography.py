@@ -11,6 +11,7 @@ a loss map.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,6 +26,7 @@ from .optics import QUADRATURE_SUPPORT, _smear_povm, _window_matrix
 GRID_SPAN = QUADRATURE_SUPPORT     # sampling grid covers [-12, 12]
 GRID_POINTS = 4096
 EFFICIENCY_MODELS = ("none", "detection", "detection+storage")
+MIN_RESAMPLES = 50      # fewest bootstrap resamples for a 95% interval
 
 
 def _fold_phases(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,25 +181,40 @@ def _bin_edges() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _binned_povm(dimension: int, phases_key: tuple, eta_total: float) -> np.ndarray:
-    """POVM stack of shape (n_phases * n_bins, d, d) for binned MaxLik.
+def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
+    """Real window matrices W of shape (n_bins, d * d) for binned MaxLik.
 
-    Elements at phase 0 are window integrals over each x-bin, smeared by
-    the loss adjoint when eta_total < 1; other phases follow by
-    number-operator phase rotation (loss is phase covariant, so smearing
-    and rotating commute).
+    Row b is the window integral over x-bin b at phase 0, smeared by the
+    loss adjoint when eta_total < 1. The POVM element of (phase k, bin b)
+    is W_b * _phase_rotation(theta_k, d) elementwise: loss is phase
+    covariant, so smearing and rotating commute, and no phase enters the
+    cache key.
     """
     edges = _bin_edges()
-    base = np.stack([
-        np.array(_window_matrix(dimension, float(lo), float(hi)), dtype=complex)
+    windows = np.stack([
+        _smear_povm(_window_matrix(dimension, float(lo), float(hi)),
+                    eta_total).real.ravel()
         for lo, hi in zip(edges[:-1], edges[1:])
     ])
-    if eta_total < 1.0:
-        base = np.stack([_smear_povm(b, eta_total) for b in base])
-    povm = np.concatenate([base * _phase_rotation(th, dimension)
-                           for th in phases_key])
-    povm.setflags(write=False)
-    return povm
+    windows.setflags(write=False)
+    return windows
+
+
+def _cell_probabilities(rho: np.ndarray, windows: np.ndarray,
+                        rotations: np.ndarray) -> np.ndarray:
+    """p[k, b] = Tr(Pi_kb rho) for Pi_kb = W_b * rot_k, with ``rotations``
+    the (n_phases, d * d) stack of flattened rot_k.
+
+    W_b is real, so only Re(rot_k * rho^T) contributes.
+    """
+    return np.real(rotations * rho.T.ravel()) @ windows.T
+
+
+def _likelihood_operator(weights: np.ndarray, windows: np.ndarray,
+                         rotations: np.ndarray) -> np.ndarray:
+    """R = sum_kb weights[k, b] Pi_kb = sum_k rot_k * (weights_k @ W)."""
+    d = math.isqrt(windows.shape[1])
+    return np.sum(rotations * (weights @ windows), axis=0).reshape(d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +225,7 @@ class ReconstructionResult:
     efficiency_model: str
     likelihood_history: tuple
     stop_reason: str
+    gap_bound: float
 
 
 def _efficiency_transmission(efficiency_model: str, eta_detection: float,
@@ -242,6 +260,9 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
     Samples are binned per (phase, x-bin) cell; the update is
     rho <- normalize(R rho R) with R = sum_j (f_j / p_j) Pi_j over the
     observed cells, which never decreases the binned log-likelihood.
+    Each Pi_j factors into a real window matrix and a phase rotation, so
+    an iteration costs two real products with the (n_bins, d * d) window
+    matrix and never forms the complex POVM stack.
     Cell probabilities are floored at 1e-12 and R is dampened with a
     1e-12 identity so empty-model cells cannot produce divisions by
     zero.
@@ -262,7 +283,9 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
             falls below this.
 
     Returns:
-        ReconstructionResult with the estimate and convergence record.
+        ReconstructionResult with the estimate and convergence record;
+        ``gap_bound`` = lambda_max(R) - 1 at the returned estimate bounds
+        how much per-sample log-likelihood any state could still gain.
 
     Raises:
         ConvergenceError: dataset smaller than the basis dimension
@@ -287,27 +310,33 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
             f"{outside} of {len(data)} samples lie outside the binned "
             f"quadrature span [{edges[0]:g}, {edges[-1]:g}]")
     phases = data.unique_phases()
-    povm = _binned_povm(d, tuple(float(t) for t in phases), float(eta_total))
-    n_bins = len(edges) - 1
-    counts = np.zeros(len(phases) * n_bins)
+    windows = _binned_povm(d, float(eta_total))
+    rotations = np.stack([_phase_rotation(th, d).ravel() for th in phases])
+    counts = np.zeros((len(phases), len(edges) - 1))
     phase_of = np.searchsorted(phases, np.round(data.thetas, 12))
     for k in range(len(phases)):
-        hist, _ = np.histogram(data.xs[phase_of == k], bins=edges)
-        counts[k * n_bins:(k + 1) * n_bins] = hist
+        counts[k], _ = np.histogram(data.xs[phase_of == k], bins=edges)
     freq = counts / counts.sum()
 
+    # boolean indexing keeps the (phase, bin) cells in row-major order
     occupied = freq > 0
-    povm_occ = povm[occupied]
     freq_occ = freq[occupied]
-    eye = np.eye(d)
+    weights = np.zeros_like(freq)
 
+    def update_operator(rho):
+        """Clipped occupied-cell probabilities and R = sum_j (f_j/p_j) Pi_j."""
+        probs = _cell_probabilities(rho, windows, rotations)[occupied]
+        probs = np.clip(probs, 1e-12, None)
+        weights[occupied] = freq_occ / probs
+        return probs, _likelihood_operator(weights, windows, rotations)
+
+    damping = 1e-12 * np.eye(d)
     rho = np.eye(d, dtype=complex) / d
     history = []
     stop_reason = "max_iterations"
     gain = float("inf")
     for _ in range(max_iter):
-        probs = np.real(np.einsum("jmn,nm->j", povm_occ, rho))
-        probs = np.clip(probs, 1e-12, None)
+        probs, R = update_operator(rho)
         ll = float(np.sum(freq_occ * np.log(probs)))
         if history:
             gain = ll - history[-1]
@@ -317,10 +346,16 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
                 break
         else:
             history.append(ll)
-        R = np.einsum("j,jmn->mn", freq_occ / probs, povm_occ) + 1e-12 * eye
+        R = R + damping
         rho = R @ rho @ R
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.real(np.trace(rho))
+
+    # concavity of the log-likelihood bounds the per-sample gap to the
+    # maximum by lambda_max(R) - 1 at the returned estimate (Glancy, Knill
+    # & Girard, NJP 14, 095017, 2012)
+    _, R = update_operator(rho)
+    gap_bound = float(np.linalg.eigvalsh(R)[-1]) - 1.0
 
     return ReconstructionResult(
         rho_hat=DensityOperator(rho, cutoff),
@@ -329,6 +364,7 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
         efficiency_model=efficiency_model,
         likelihood_history=tuple(history),
         stop_reason=stop_reason,
+        gap_bound=gap_bound,
     )
 
 
@@ -356,7 +392,7 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
 
     Args:
         data: original dataset.
-        n_resamples: >= 50.
+        n_resamples: >= MIN_RESAMPLES (50).
         statistics: mapping name -> callable(ReconstructionResult) -> float,
             e.g. fidelity to a target or a Wigner minimum.
         rng: master generator.
@@ -370,8 +406,9 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
     Raises:
         ConvergenceError: more than 10% of resamples failed.
     """
-    if n_resamples < 50:
-        raise DomainError(f"n_resamples must be >= 50, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise DomainError(
+            f"n_resamples must be >= {MIN_RESAMPLES}, got {n_resamples}")
     if not statistics:
         raise DomainError("need at least one statistic")
     streams = rng.spawn(n_resamples)

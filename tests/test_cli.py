@@ -11,6 +11,7 @@ import catbreed
 from catbreed import (EVENT_KINDS, FockCutoff, ProtocolConfig, TargetCatSpec,
                       fock_state, pipeline_states, read_density_csv, read_meta,
                       target_cat, wigner_grid, write_density_csv)
+import catbreed.cli as cli
 from catbreed.cli import OUTPUT_ROOT_ENV, main
 
 
@@ -318,6 +319,7 @@ def test_sample_then_reconstruct(tmp_path, capsys):
     assert meta["stop_reason"] in ("converged", "max_iterations")
     assert int(meta["samples"]) == 800
     assert 0.0 < float(meta["fidelity_to_target"]) < 1.0
+    assert float(meta["gap_bound"]) >= -1e-12
 
 
 def test_sample_is_reproducible(tmp_path, capsys):
@@ -433,27 +435,41 @@ def test_every_command_writes_its_files_and_manifest(tmp_path, capsys):
         assert stdout.splitlines()[-1] == f"outputs -> {out}"
 
 
+def tiny_tomography(tmp_path, out) -> list:
+    """tomography argv on a 20-sample dataset at reconstruction cutoff 4."""
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("theta,x\n" + "".join(
+        f"{0.5 * (k % 4)},{0.1 * k - 1.0}\n" for k in range(20)))
+    return ["tomography", "--output-dir", str(out), "--dataset", str(dataset),
+            "--reconstruction-cutoff", "4"]
+
+
 @pytest.mark.parametrize("case", ["eta_homodyne", "n_min", "bootstrap",
-                                  "max_iter", "breed_grid", "wigner_grid",
+                                  "negative_bootstrap", "max_iter",
+                                  "breed_grid", "wigner_grid",
                                   "bootstrap_grid"])
-def test_failing_command_writes_nothing(tmp_path, capsys, case):
+def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     # every command validates the protocol settings, and a command that
     # fails part-way leaves not even its output directory behind
     state_path = tmp_path / "vacuum.csv"
     write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
-    dataset = tmp_path / "dataset.csv"
-    dataset.write_text("theta,x\n" + "".join(
-        f"{0.5 * (k % 4)},{0.1 * k - 1.0}\n" for k in range(20)))
     out = tmp_path / "run"
-    tomography = ["tomography", "--output-dir", str(out), "--dataset",
-                  str(dataset), "--reconstruction-cutoff", "4"]
+    tomography = tiny_tomography(tmp_path, out)
     huge_grid = "--grid=-4:4:100000"
+    if "bootstrap" in case:
+        # the bootstrap settings are refused before the point fit runs
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the point fit ran before the bootstrap "
+                                 "settings were checked")
+
+        monkeypatch.setattr(cli, "maxlik_reconstruct", no_fit)
     argv = {
         "eta_homodyne": tomography + ["--efficiency-model", "detection",
                                       "--eta-homodyne", "1.5"],
         "n_min": ["wigner", "--output-dir", str(out), "--state-file",
                   str(state_path), "--n-min", "0"],
         "bootstrap": tomography + ["--bootstrap", "10"],
+        "negative_bootstrap": tomography + ["--bootstrap", "-5"],
         "max_iter": tomography + ["--max-iter", "0"],
         # 100000^2 Wigner points would need about 1.5 TB; the grid cap
         # refuses them before anything of that size is allocated
@@ -466,6 +482,29 @@ def test_failing_command_writes_nothing(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def test_failed_write_removes_what_the_run_wrote(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken_meta(path, entries):
+        Path(path).write_text("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_meta", broken_meta)
+    # rho_hat.csv is written and renamed into place before rho_hat.meta fails
+    out = tmp_path / "new" / "run"
+    code, _, _ = run_cli(tiny_tomography(tmp_path, out), capsys)
+    assert code == 4
+    assert not (tmp_path / "new").exists()
+
+    # a directory that existed before the run keeps its other files
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    code, _, _ = run_cli(tiny_tomography(tmp_path, out), capsys)
+    assert code == 4
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me"
 
 
 def test_importing_the_cli_loads_no_scipy():

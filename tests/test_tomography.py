@@ -12,8 +12,10 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       read_meta, sample_homodyne, sample_homodyne_phases,
                       save_dataset_csv, single_photon_state, squeeze_matrix,
                       uniform_phases, write_density_csv, write_meta)
-from catbreed.fock import StateVector
-from catbreed.tomography import _bin_edges, _binned_povm
+from catbreed.fock import StateVector, _phase_rotation
+from catbreed.optics import _smear_povm, _window_matrix
+from catbreed.tomography import (_bin_edges, _binned_povm,
+                                 _cell_probabilities, _likelihood_operator)
 import catbreed.tomography as tomo
 from conftest import random_density
 
@@ -275,12 +277,61 @@ def test_maxlik_estimate_is_phase_covariant():
 
 
 def test_binned_povm_resolves_identity():
-    n_bins = len(_bin_edges()) - 1
+    d = 13
     for eta in (1.0, 0.76):
-        povm = _binned_povm(13, (0.0, 0.5, 1.1), eta)
-        for k in range(3):
-            total = povm[k * n_bins:(k + 1) * n_bins].sum(axis=0)
-            np.testing.assert_allclose(total, np.eye(13), atol=1e-8)
+        windows = _binned_povm(d, eta).reshape(-1, d, d)
+        for theta in (0.0, 0.5, 1.1):
+            total = (windows * _phase_rotation(theta, d)).sum(axis=0)
+            np.testing.assert_allclose(total, np.eye(d), atol=1e-8)
+
+
+def test_factored_kernel_matches_dense_povm_stack():
+    # the kernel never forms the (n_phases * n_bins, d, d) POVM stack;
+    # build that stack here and contract it directly
+    d = 13
+    rng = np.random.default_rng(57)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = (a + a.conj().T) / 2.0
+    phases = (0.0, 0.5, 1.1)
+    rotations = np.stack([_phase_rotation(t, d).ravel() for t in phases])
+    edges = _bin_edges()
+    for eta in (1.0, 0.76):
+        base = np.stack([
+            _smear_povm(np.array(_window_matrix(d, lo, hi), dtype=complex), eta)
+            for lo, hi in zip(edges[:-1], edges[1:])])
+        stack = np.concatenate([base * _phase_rotation(t, d) for t in phases])
+        windows = _binned_povm(d, eta)
+
+        probs = _cell_probabilities(rho, windows, rotations)
+        assert probs.shape == (len(phases), len(edges) - 1)
+        dense = np.real(np.einsum("jmn,nm->j", stack, rho))
+        np.testing.assert_allclose(probs.ravel(), dense, rtol=0, atol=1e-14)
+
+        weights = rng.normal(size=probs.shape)
+        R = _likelihood_operator(weights, windows, rotations)
+        dense = np.einsum("j,jmn->mn", weights.ravel(), stack)
+        np.testing.assert_allclose(R, dense, rtol=0, atol=1e-14)
+
+
+def test_maxlik_gap_bound_certifies_the_remaining_gain():
+    rho = bred_test_state()
+    data = sample_homodyne_phases(rho, uniform_phases(8), 3000,
+                                  np.random.default_rng(58))
+    for max_iter in (2000, 30):
+        short = maxlik_reconstruct(data, FockCutoff(8), max_iter=max_iter)
+        assert short.gap_bound >= -1e-12
+        # a converged fit returns the estimate of its last history entry; a
+        # capped one returns the estimate one update further on
+        at = short.iterations - (short.stop_reason == "converged")
+        # the fit is deterministic, so a longer one passes through the same
+        # estimate and then runs 2000 more iterations from it
+        longer = maxlik_reconstruct(data, FockCutoff(8),
+                                    max_iter=at + 2001,
+                                    tol_per_sample=-np.inf)
+        assert (longer.likelihood_history[:short.iterations]
+                == short.likelihood_history)
+        gained = longer.likelihood_history[-1] - longer.likelihood_history[at]
+        assert 0.0 < gained <= short.gap_bound
 
 
 def test_maxlik_error_shrinks_with_sample_size():
