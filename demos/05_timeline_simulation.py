@@ -11,8 +11,10 @@ closed-form model.
 from collections import Counter
 from dataclasses import replace
 
-from catbreed import (ProtocolConfig, generation_rate, pipeline_states,
-                      simulate_timeline)
+import numpy as np
+
+from catbreed import (EVENT_RECORDS, ProtocolConfig, generation_rate,
+                      pipeline_states, simulate_timeline)
 
 DURATION_S = 0.05
 
@@ -33,13 +35,19 @@ def main():
     print(f"mean cat fidelity  {stats.mean_output_fidelity:.4f} "
           f"(after readout)")
 
-    kinds = Counter(ev.kind for ev in events)
+    # the log is columns; its record codes index EVENT_RECORDS
+    kinds, fails = Counter(), Counter()
+    counts = np.bincount(events.record, minlength=len(EVENT_RECORDS))
+    for (kind, reason, _), count in zip(EVENT_RECORDS, counts.tolist()):
+        if count:
+            kinds[kind] += count
+            if kind == "condition_fail":
+                fails[reason] += count
+
     print("\nevent counts:")
     for kind, count in sorted(kinds.items()):
         print(f"  {kind:<16} {count}")
 
-    fails = Counter(ev.payload.get("reason") for ev in events
-                    if ev.kind == "condition_fail")
     print("\nwhy breeds were rejected:")
     for reason, count in sorted(fails.items()):
         print(f"  {reason:<28} {count}")

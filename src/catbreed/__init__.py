@@ -23,9 +23,9 @@ from .optics import (QUADRATURE_SUPPORT, AcceptanceWindow, HeraldOutcome,
                      homodyne_povm, loss_channel, partial_trace,
                      single_photon_state)
 from .protocol import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
-                       EVENT_KINDS,
+                       EVENT_KINDS, EVENT_RECORDS,
                        CurveRow, PipelineStates, ProtocolConfig,
-                       RunStatistics, TimelineEvent, calibrate_beta_elec,
+                       RunStatistics, TimelineEvents, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        per_trip_transmission_from_total, pipeline_states,
                        simulate_timeline, storage_evolve, window_probability,
@@ -55,9 +55,9 @@ __all__ = [
     "beam_splitter", "partial_trace", "loss_channel",
     "homodyne_povm", "condition", "breed", "single_photon_state",
     # protocol model
-    "ProtocolConfig", "TimelineEvent", "RunStatistics", "PipelineStates",
+    "ProtocolConfig", "TimelineEvents", "RunStatistics", "PipelineStates",
     "CurveRow", "CURVE_CSV_HEADER", "DEFAULT_PER_TRIP_TRANSMISSION",
-    "EVENT_KINDS",
+    "EVENT_KINDS", "EVENT_RECORDS",
     "per_trip_transmission_from_total", "storage_evolve",
     "window_probability", "generation_rate", "calibrate_beta_elec",
     "pipeline_states", "fidelity_vs_storage_curve", "write_curve_csv",

@@ -7,8 +7,9 @@ simulation, generate synthetic homodyne datasets, and reconstruct states
 from datasets with optional bootstrap error bars.
 
 Every successful run writes its outputs plus a manifest.json into one
-output directory; a failing run writes none. Outputs are written
-atomically (temp file + rename) and are deterministic given the
+output directory; a failing run writes none. Outputs are staged in a
+temporary directory on the same file system and renamed into place only
+once all of them are written; they are deterministic given the
 manifest. Exit codes: 0 success, 2 input or configuration error, 3
 numerical or convergence failure, 4 unexpected internal error.
 """
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -134,27 +135,8 @@ def _output_dir(args) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "catbreed-out")) / args.command
 
 
-def _make_dirs(directory: Path) -> list:
-    """Create ``directory`` and its missing parents; return the ones this
-    call created, deepest first."""
-    created = []
-    probe = directory
-    while not probe.exists():
-        created.append(probe)
-        probe = probe.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    return created
-
-
-def _atomic_write(directory: Path, name: str, writer) -> None:
-    """Write via `writer(tmp_path)` then rename into place."""
-    tmp = directory / (name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, directory / name)
-
-
 def _write_manifest(directory: Path, command: str, argv, settings: dict,
-                    outputs: list, started: float) -> None:
+                    outputs, started: float) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -165,8 +147,7 @@ def _write_manifest(directory: Path, command: str, argv, settings: dict,
         "version": __version__,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-    _atomic_write(directory, "manifest.json",
-                  lambda p: Path(p).write_text(text))
+    (directory / "manifest.json").write_text(text)
 
 
 def _parse_grid(spec: str):
@@ -297,9 +278,6 @@ def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
 
 
 def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
-    if args.duration_s <= 0:
-        raise ConfigError(f"duration must be > 0 s, got {args.duration_s}")
-
     stats, events = simulate_timeline(config, args.duration_s)
     # with no heralds the gap law behind pipeline_states is undefined, but
     # the closed-form rate is exactly 0
@@ -310,22 +288,14 @@ def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
     sigma = math.sqrt(max(stats.successes, 1)) / stats.duration_s
     gap_sigmas = abs(stats.estimated_rate_hz - closed_form) / sigma
 
-    payload = {
-        "attempts": stats.attempts,
-        "successes": stats.successes,
-        "duration_s": stats.duration_s,
-        "estimated_rate_hz": stats.estimated_rate_hz,
-        "closed_form_rate_hz": closed_form,
-        "rate_gap_sigmas": gap_sigmas,
-        "mean_first_photon_storage": None
-        if math.isnan(stats.mean_first_photon_storage)
-        else stats.mean_first_photon_storage,
-        "storage_histogram": {str(k): v for k, v in
-                              sorted(stats.storage_histogram.items())},
-        "mean_output_fidelity": None
-        if math.isnan(stats.mean_output_fidelity)
-        else stats.mean_output_fidelity,
-    }
+    payload = dict(vars(stats), closed_form_rate_hz=closed_form,
+                   rate_gap_sigmas=gap_sigmas)
+    # JSON keys are strings, and sort as such; JSON has no NaN
+    payload["storage_histogram"] = {
+        str(k): v for k, v in stats.storage_histogram.items()}
+    for key in ("mean_first_photon_storage", "mean_output_fidelity"):
+        if math.isnan(payload[key]):
+            payload[key] = None
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     print(f"successes = {stats.successes} in {stats.duration_s:.6g} s")
     print(f"estimated_rate_hz = {stats.estimated_rate_hz:.6g}")
@@ -366,7 +336,9 @@ def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
 
 def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
     data = load_dataset_csv(args.dataset)
-    # refuse bad bootstrap settings before the point fit, which takes seconds
+    # refuse bad settings before the point fit, which takes seconds
+    if not args.tol < math.inf:
+        raise ConfigError(f"--tol must be a number below inf, got {args.tol}")
     if args.bootstrap and args.bootstrap < MIN_RESAMPLES:
         raise ConfigError(f"--bootstrap must be 0 or >= {MIN_RESAMPLES}, "
                           f"got {args.bootstrap}")
@@ -528,25 +500,20 @@ def main(argv=None) -> int:
         config = _build_config(settings)
         files = args.func(args, config, settings)
         out = _output_dir(args)
-        created = _make_dirs(out)
-        written = []
-        try:
+        # stage the outputs under the nearest existing ancestor of the
+        # output directory, so that the final moves are same-file-system
+        # renames; a writer that raises leaves nothing behind
+        anchor = out
+        while not anchor.exists():
+            anchor = anchor.parent
+        with tempfile.TemporaryDirectory(prefix=".catbreed-", dir=anchor) as tmp:
+            stage = Path(tmp)
             for name, writer in files.items():
-                written.append(name)
-                _atomic_write(out, name, writer)
-            written.append("manifest.json")
-            _write_manifest(out, args.command, argv, settings, list(files),
-                            started)
-        except BaseException:
-            # a run that cannot write all its outputs leaves none of them,
-            # and removes only the directories it created itself
-            for name in written:
-                (out / name).unlink(missing_ok=True)
-                (out / (name + ".tmp")).unlink(missing_ok=True)
-            for directory in created:
-                with contextlib.suppress(OSError):
-                    directory.rmdir()
-            raise
+                writer(stage / name)
+            _write_manifest(stage, args.command, argv, settings, files, started)
+            out.mkdir(parents=True, exist_ok=True)
+            for name in [*files, "manifest.json"]:
+                os.replace(stage / name, out / name)
         print(f"outputs -> {out}")
         return 0
     except (ConfigError, DomainError) as exc:

@@ -10,8 +10,7 @@ photon waited n trips.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -28,10 +27,32 @@ from .fock import (
 )
 from .optics import AcceptanceWindow, breed, loss_channel, single_photon_state
 
-EVENT_KINDS = frozenset({
-    "herald", "trap", "hold", "breed", "condition_pass", "condition_fail",
-    "readout", "phase_trigger", "dead_time",
-})
+# Every record the timeline writes, as (kind, reason, carries the storage
+# trips). A record's code in TimelineEvents is its row here.
+EVENT_RECORDS = (
+    ("herald", None, False),
+    ("dead_time", None, False),
+    ("trap", None, False),
+    ("hold", None, True),
+    ("breed", None, True),
+    ("condition_fail", "storage_window_not_reached", True),
+    ("condition_fail", "storage_window_expired", True),
+    ("condition_pass", None, False),
+    ("condition_fail", "quadrature_outside_window", False),
+    ("readout", None, False),
+    ("phase_trigger", None, False),
+)
+(HERALD, DEAD_TIME, TRAP, HOLD, BREED, WINDOW_NOT_REACHED, WINDOW_EXPIRED,
+ CONDITION_PASS, QUADRATURE_FAIL, READOUT, PHASE_TRIGGER) = range(len(EVENT_RECORDS))
+EVENT_KINDS = frozenset(kind for kind, _, _ in EVENT_RECORDS)
+
+# each record's log line as json.dumps(sort_keys=True) writes it, as a
+# str.format template of the pulse index {0} and the trips {1}
+_LINE_TEMPLATES = tuple(
+    '{{"kind": "%s", "pulse_index": {0}%s%s}}\n'
+    % (kind, f', "reason": "{reason}"' if reason else "",
+       ', "trips": {1}' if trips else "")
+    for kind, reason, trips in EVENT_RECORDS)
 
 
 def per_trip_transmission_from_total(total_loss: float, n_trips: int) -> float:
@@ -100,15 +121,17 @@ class ProtocolConfig:
         return self.eta_homodyne if self.condition_with_detector_efficiency else 1.0
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    kind: str
-    pulse_index: int
-    payload: dict = field(default_factory=dict)
+@dataclass(frozen=True, eq=False)
+class TimelineEvents:
+    """The event log as int64 columns in log order: pulse index, record
+    code (a row of EVENT_RECORDS) and storage trips (0 if it has none)."""
 
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise DomainError(f"unknown event kind {self.kind!r}")
+    pulse_index: np.ndarray
+    record: np.ndarray
+    trips: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pulse_index)
 
 
 @dataclass(frozen=True)
@@ -308,15 +331,19 @@ def write_curve_csv(rows: Sequence[CurveRow], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_event_log(events: Sequence[TimelineEvent], path) -> None:
+def write_event_log(events: TimelineEvents, path) -> None:
     """Line-delimited structured records, one JSON object per event."""
-    # json.dumps builds a fresh encoder on every call; one per log is
-    # enough and writes the same bytes
-    encode = json.JSONEncoder(sort_keys=True).encode
+    rows = zip(events.pulse_index.tolist(), events.record.tolist(),
+               events.trips.tolist())
     with open(path, "w") as fh:
-        for ev in events:
-            fh.write(encode(
-                {"kind": ev.kind, "pulse_index": ev.pulse_index, **ev.payload}) + "\n")
+        fh.writelines(_LINE_TEMPLATES[code].format(pulse, trips)
+                      for pulse, code, trips in rows)
+
+
+# a simulate run peaks at about 200 bytes per herald (351 MB for 1.55 M),
+# so the largest run this cap accepts stays below 0.9 GB; larger runs are
+# refused before they draw anything
+MAX_EXPECTED_HERALDS = 4_000_000
 
 
 def _herald_pulses(rng: np.random.Generator, p: float, n_pulses: int) -> np.ndarray:
@@ -340,7 +367,7 @@ def _herald_pulses(rng: np.random.Generator, p: float, n_pulses: int) -> np.ndar
 
 
 def simulate_timeline(config: ProtocolConfig,
-                      duration_s: float) -> tuple[RunStatistics, list[TimelineEvent]]:
+                      duration_s: float) -> tuple[RunStatistics, TimelineEvents]:
     """Discrete-event Monte Carlo of the heralded breeding timeline.
 
     The protocol runs in strict three-herald sequences: the first herald
@@ -353,82 +380,79 @@ def simulate_timeline(config: ProtocolConfig,
 
     Args:
         config: operating point, including the RNG seed.
-        duration_s: simulated wall time, > 0.
+        duration_s: simulated wall time, > 0 and finite in pulses, with at
+            most MAX_EXPECTED_HERALDS expected heralds (f_herald * duration_s).
 
     Returns:
-        (RunStatistics, ordered event list). Event pulse indices are
+        (RunStatistics, TimelineEvents). Event pulse indices are
         non-decreasing; simultaneous physical events (a herald and the
         trap it causes) share a pulse index and keep emission order.
     """
-    if duration_s <= 0:
-        raise DomainError(f"duration must be > 0, got {duration_s}")
+    if not 0.0 < duration_s * config.f_rep < np.inf:
+        raise DomainError(f"duration must be > 0 and finite in pulses, got {duration_s}")
+    expected = config.f_herald * duration_s
+    if expected > MAX_EXPECTED_HERALDS:
+        raise DomainError(
+            f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
+            f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))
     heralds = _herald_pulses(rng, config.p_trip, n_pulses)
 
     n_cycles = len(heralds) // 3
-    events: list[TimelineEvent] = [
-        TimelineEvent("herald", int(h)) for h in heralds
-    ]
-
-    if n_cycles > 0:
-        u_live = rng.random(n_cycles)
-        u_cond = rng.random(n_cycles)
-    else:
-        u_live = u_cond = np.zeros(0)
+    u_live = rng.random(n_cycles)
+    u_cond = rng.random(n_cycles)
 
     comps = _window_components(config)
-    p_cond = {n: prob for n, _, prob in comps}
+    p_cond = np.array([prob for _, _, prob in comps])
     target = target_cat(TargetCatSpec(), config.cutoff)
-    fid_out = {
-        n: fidelity_to_pure(
+    fid_out = np.array([
+        fidelity_to_pure(
             storage_evolve(state, config.readout_trips, config.per_trip_transmission),
             target)
-        for n, state, _ in comps
-    }
+        for _, state, _ in comps
+    ])
 
-    successes = 0
-    storage_hist: dict[int, int] = {}
-    fid_sum = 0.0
-    for c in range(n_cycles):
-        h1, h2, h3 = (int(heralds[3 * c + i]) for i in range(3))
-        gap = h2 - h1
-        if u_live[c] >= config.beta_elec:
-            events.append(TimelineEvent("dead_time", h1))
-            events.append(TimelineEvent("phase_trigger", h3))
-            continue
-        events.append(TimelineEvent("trap", h1))
-        events.append(TimelineEvent("hold", h1, {"trips": gap}))
-        if not config.n_min <= gap <= config.n_max:
-            reason = ("storage_window_expired" if gap > config.n_max
-                      else "storage_window_not_reached")
-            events.append(TimelineEvent(
-                "condition_fail", h2, {"reason": reason, "trips": gap}))
-            events.append(TimelineEvent("phase_trigger", h3))
-            continue
-        events.append(TimelineEvent("breed", h2, {"trips": gap}))
-        if u_cond[c] < p_cond[gap]:
-            events.append(TimelineEvent("condition_pass", h2))
-            events.append(TimelineEvent("readout", h2 + config.readout_trips))
-            successes += 1
-            storage_hist[gap] = storage_hist.get(gap, 0) + 1
-            fid_sum += fid_out[gap]
-        else:
-            events.append(TimelineEvent(
-                "condition_fail", h2, {"reason": "quadrature_outside_window"}))
-        events.append(TimelineEvent("phase_trigger", h3))
+    h1, h2, h3 = heralds[:3 * n_cycles].reshape(n_cycles, 3).T
+    gap = h2 - h1
+    live = u_live < config.beta_elec
+    bred = live & (gap >= config.n_min) & (gap <= config.n_max)
+    in_window = np.clip(gap - config.n_min, 0, config.n_max - config.n_min)
+    passed = bred & (u_cond < p_cond[in_window])
 
-    events.sort(key=lambda ev: ev.pulse_index)
-    mean_storage = (
-        sum(n * c for n, c in storage_hist.items()) / successes
-        if successes else float("nan"))
+    # Each sequence has six record slots of (pulse, record, trips): trap or
+    # dead_time, hold, breed or window fail, pass or quadrature fail,
+    # readout, phase trigger. The log is every herald, then the emitted
+    # slots in sequence order, stably sorted by pulse.
+    slots = np.zeros((n_cycles, 6, 3), dtype=np.int64)
+    slots[..., 0] = np.stack([h1, h1, h2, h2, h2 + config.readout_trips, h3], axis=1)
+    slots[..., 1] = [TRAP, HOLD, BREED, CONDITION_PASS, READOUT, PHASE_TRIGGER]
+    slots[~live, 0, 1] = DEAD_TIME
+    slots[gap < config.n_min, 2, 1] = WINDOW_NOT_REACHED
+    slots[gap > config.n_max, 2, 1] = WINDOW_EXPIRED
+    slots[~passed, 3, 1] = QUADRATURE_FAIL
+    slots[:, 1:3, 2] = gap[:, None]
+    always = np.ones(n_cycles, dtype=bool)
+    emitted = np.stack([always, live, live, bred, passed, always], axis=1)
+    herald_rows = np.stack(
+        [heralds, np.full_like(heralds, HERALD), np.zeros_like(heralds)], axis=1)
+    rows = np.concatenate([herald_rows, slots[emitted]])
+    del herald_rows, slots  # freed before the sort copies the rows
+    events = TimelineEvents(*rows[np.argsort(rows[:, 0], kind="stable")].T)
+
+    stored = gap[passed]
+    successes = len(stored)
+    trips_seen, counts = np.unique(stored, return_counts=True)
+    # summed in sequence order: np.sum's pairwise order moves the last bits
+    fid_sum = float(np.cumsum(fid_out[stored - config.n_min])[-1]) if successes else 0.0
     stats = RunStatistics(
         attempts=n_cycles,
         successes=successes,
         duration_s=duration_s,
         estimated_rate_hz=successes / duration_s,
-        mean_first_photon_storage=mean_storage,
-        storage_histogram=dict(sorted(storage_hist.items())),
+        mean_first_photon_storage=(
+            int(stored.sum()) / successes if successes else float("nan")),
+        storage_histogram=dict(zip(trips_seen.tolist(), counts.tolist())),
         mean_output_fidelity=(fid_sum / successes if successes else float("nan")),
     )
     return stats, events

@@ -117,12 +117,17 @@ def sample_homodyne(rho: DensityOperator, theta: float, count: int,
         count: number of samples, >= 1.
         rng: NumPy random generator (determinism contract: same seed,
             same dataset).
+        phase_noise_sigma: standard deviation of the phase jitter in
+            radians, finite and >= 0.
 
     Returns:
         HomodyneDataset of ``count`` samples, all at phase ``theta``.
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
+    if not 0.0 <= phase_noise_sigma < np.inf:
+        raise DomainError(f"phase noise sigma must be finite and >= 0, "
+                          f"got {phase_noise_sigma}")
     meta = {"phase": theta, "count": count, "phase_noise_sigma": phase_noise_sigma}
     if phase_noise_sigma == 0.0:
         xg, cdf = _inverse_cdf_table(rho, theta)
@@ -156,8 +161,8 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
     """Split ``total_count`` samples across phases (earlier phases take
     the remainder) and concatenate the per-phase datasets."""
     n_ph = len(phases)
-    if total_count < n_ph:
-        raise DomainError("need at least one sample per phase")
+    if n_ph == 0 or total_count < n_ph:
+        raise DomainError("need at least one phase and one sample per phase")
     base, extra = divmod(total_count, n_ph)
     parts = []
     for k, th in enumerate(phases):
@@ -280,7 +285,7 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
             the 'detection+storage' model.
         max_iter: iteration cap, >= 1.
         tol_per_sample: stop once the per-sample log-likelihood gain
-            falls below this.
+            falls below this; -inf runs to max_iter.
 
     Returns:
         ReconstructionResult with the estimate and convergence record;
@@ -291,10 +296,14 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
         ConvergenceError: dataset smaller than the basis dimension
             (under-determined problem).
         DomainError: unknown efficiency model, an efficiency it uses
-            outside (0, 1], samples outside [-12, 12], or max_iter < 1.
+            outside (0, 1], samples outside [-12, 12], max_iter < 1, or a
+            tol_per_sample that is NaN or +inf.
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol_per_sample < np.inf:
+        raise DomainError(f"tol_per_sample must be a number below inf, got "
+                          f"{tol_per_sample}")
     d = cutoff.dimension
     if len(data) < d:
         raise ConvergenceError(
@@ -340,12 +349,11 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
         ll = float(np.sum(freq_occ * np.log(probs)))
         if history:
             gain = ll - history[-1]
-            history.append(ll)
-            if gain < tol_per_sample:
-                stop_reason = "converged"
-                break
-        else:
-            history.append(ll)
+        history.append(ll)
+        # gain starts at inf, above every accepted tolerance
+        if gain < tol_per_sample:
+            stop_reason = "converged"
+            break
         R = R + damping
         rho = R @ rho @ R
         rho = (rho + rho.conj().T) / 2.0

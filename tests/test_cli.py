@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -255,6 +256,22 @@ def test_simulate_writes_stats_and_events(tmp_path, capsys):
     assert "estimated_rate_hz" in stdout
 
 
+def test_simulate_readme_run_is_pinned(tmp_path, capsys):
+    # the README example; the hashes were taken before the timeline became
+    # columns, from the per-sequence event objects it replaced
+    out = tmp_path / "sim"
+    code, _, _ = run_cli(["simulate", "--duration-s", "0.05", "--beta-elec",
+                          "0.73", "--seed", "42", "--output-dir", str(out)],
+                         capsys)
+    assert code == 0
+    events = (out / "events.jsonl").read_bytes()
+    assert events.count(b"\n") == 33669
+    assert hashlib.sha256(events).hexdigest() == (
+        "fa0fdfc667b9bcf7cf89579e530d7ef4f413d7fbe88795af6786cdb0868e14d3")
+    assert hashlib.sha256((out / "stats.json").read_bytes()).hexdigest() == (
+        "940419967568d79635b5df9d575dca15f76afefb5012c63eb929161997544e82")
+
+
 def test_simulate_is_reproducible(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     code_a, _, _ = run_cli(["simulate", "--output-dir", str(out_a)] + SIM_ARGS,
@@ -433,6 +450,8 @@ def test_every_command_writes_its_files_and_manifest(tmp_path, capsys):
         files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert manifest["outputs"] == files, command
         assert stdout.splitlines()[-1] == f"outputs -> {out}"
+    # the staging directories, made beside each output directory, are gone
+    assert not list(tmp_path.glob(".catbreed-*"))
 
 
 def tiny_tomography(tmp_path, out) -> list:
@@ -447,7 +466,9 @@ def tiny_tomography(tmp_path, out) -> list:
 @pytest.mark.parametrize("case", ["eta_homodyne", "n_min", "bootstrap",
                                   "negative_bootstrap", "max_iter",
                                   "breed_grid", "wigner_grid",
-                                  "bootstrap_grid"])
+                                  "bootstrap_grid", "nan_tol", "inf_tol",
+                                  "negative_sigma", "empty_phases",
+                                  "huge_duration"])
 def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     # every command validates the protocol settings, and a command that
     # fails part-way leaves not even its output directory behind
@@ -456,11 +477,12 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     out = tmp_path / "run"
     tomography = tiny_tomography(tmp_path, out)
     huge_grid = "--grid=-4:4:100000"
-    if "bootstrap" in case:
-        # the bootstrap settings are refused before the point fit runs
+    if "bootstrap" in case or "tol" in case:
+        # the bootstrap settings and the tolerance are refused before the
+        # point fit runs
         def no_fit(*args, **kwargs):
-            raise AssertionError("the point fit ran before the bootstrap "
-                                 "settings were checked")
+            raise AssertionError("the point fit ran before its settings "
+                                 "were checked")
 
         monkeypatch.setattr(cli, "maxlik_reconstruct", no_fit)
     argv = {
@@ -477,6 +499,17 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
         "wigner_grid": ["wigner", "--output-dir", str(out), "--pipeline",
                         huge_grid],
         "bootstrap_grid": tomography + ["--bootstrap", "50", huge_grid],
+        "nan_tol": tomography + ["--tol", "nan"],
+        "inf_tol": tomography + ["--tol", "inf"],
+        "negative_sigma": ["sample", "--output-dir", str(out), "--state-file",
+                           str(state_path), "--count", "40",
+                           "--phase-noise-sigma", "-0.5"],
+        "empty_phases": ["sample", "--output-dir", str(out), "--state-file",
+                         str(state_path), "--count", "40", "--phases", ","],
+        # 1e7 s at 310 kHz would need hundreds of terabytes of events; the
+        # herald cap refuses it before anything is drawn
+        "huge_duration": ["simulate", "--output-dir", str(out),
+                          "--duration-s", "1e7"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2

@@ -135,6 +135,17 @@ def test_sample_homodyne_rejects_empty_request():
         sample_homodyne(vac, 0.0, 0, np.random.default_rng(0))
 
 
+def test_sample_homodyne_rejects_bad_phase_noise():
+    vac = fock_state(0, FockCutoff(6)).to_density()
+    for sigma in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="phase noise sigma"):
+            sample_homodyne(vac, 0.0, 10, np.random.default_rng(0),
+                            phase_noise_sigma=sigma)
+        with pytest.raises(DomainError, match="phase noise sigma"):
+            sample_homodyne_phases(vac, uniform_phases(2), 10,
+                                   np.random.default_rng(0), sigma)
+
+
 def test_phase_noise_broadens_a_squeezed_quadrature():
     cut = FockCutoff(30)
     amps = squeeze_matrix(6.0, cut) @ fock_state(0, cut).amplitudes
@@ -163,6 +174,8 @@ def test_sample_homodyne_phases_splits_counts():
     with pytest.raises(DomainError):
         sample_homodyne_phases(vac, uniform_phases(4), 3,
                                np.random.default_rng(0))
+    with pytest.raises(DomainError, match="at least one phase"):
+        sample_homodyne_phases(vac, np.zeros(0), 10, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +249,17 @@ def test_maxlik_rejects_iteration_cap_below_one():
     assert result.iterations == 1
     assert len(result.likelihood_history) == 1
     assert result.stop_reason == "max_iterations"
+
+
+def test_maxlik_rejects_nan_and_infinite_tolerance():
+    # a NaN gain test never fires and +inf fires at once; both are refused
+    # before any work (this dataset is also too small to fit). -inf, which
+    # runs to max_iter, stays valid
+    vac = fock_state(0, FockCutoff(12)).to_density()
+    data = sample_homodyne(vac, 0.0, 10, np.random.default_rng(54))
+    for tol in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="tol_per_sample must be a number"):
+            maxlik_reconstruct(data, FockCutoff(12), tol_per_sample=tol)
 
 
 def test_maxlik_detection_correction_round_trip():
