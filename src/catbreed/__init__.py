@@ -32,11 +32,10 @@ from .protocol import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                        write_curve_csv, write_event_log)
 from .tomography import (BootstrapResult, HomodyneDataset,
                          ReconstructionResult, bootstrap, bootstrap_many,
-                         concat_datasets, load_dataset_csv, marginal_pdf,
-                         maxlik_reconstruct, read_density_csv,
-                         sample_homodyne, sample_homodyne_phases,
-                         read_meta, save_dataset_csv, uniform_phases,
-                         write_density_csv, write_meta)
+                         load_dataset_csv, marginal_pdf, maxlik_reconstruct,
+                         read_density_csv, read_meta, sample_homodyne,
+                         sample_homodyne_phases, save_dataset_csv,
+                         uniform_phases, write_density_csv, write_meta)
 
 __all__ = [
     "__version__",
@@ -63,7 +62,7 @@ __all__ = [
     "pipeline_states", "fidelity_vs_storage_curve", "write_curve_csv",
     "write_event_log", "simulate_timeline",
     # tomography
-    "HomodyneDataset", "concat_datasets", "marginal_pdf", "sample_homodyne",
+    "HomodyneDataset", "marginal_pdf", "sample_homodyne",
     "sample_homodyne_phases", "uniform_phases", "maxlik_reconstruct",
     "ReconstructionResult", "bootstrap", "bootstrap_many", "BootstrapResult",
     "save_dataset_csv", "load_dataset_csv", "write_density_csv",

@@ -39,10 +39,11 @@ from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        pipeline_states, simulate_timeline, write_curve_csv,
                        write_event_log)
-from .tomography import (MIN_RESAMPLES, bootstrap_many, load_dataset_csv,
-                         maxlik_reconstruct, read_density_csv,
-                         sample_homodyne_phases, save_dataset_csv,
-                         uniform_phases, write_density_csv, write_meta)
+from .tomography import (MIN_RESAMPLES, _write_csv, bootstrap_many,
+                         load_dataset_csv, maxlik_reconstruct,
+                         read_density_csv, sample_homodyne_phases,
+                         save_dataset_csv, uniform_phases, write_density_csv,
+                         write_meta)
 
 OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
@@ -135,6 +136,11 @@ def _output_dir(args) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "catbreed-out")) / args.command
 
 
+def _write_json(path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    Path(path).write_text(text + "\n")
+
+
 def _write_manifest(directory: Path, command: str, argv, settings: dict,
                     outputs, started: float) -> None:
     manifest = {
@@ -146,8 +152,7 @@ def _write_manifest(directory: Path, command: str, argv, settings: dict,
         "timestamps": {"started": started, "finished": time.time()},
         "version": __version__,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-    (directory / "manifest.json").write_text(text)
+    _write_json(directory / "manifest.json", manifest)
 
 
 def _parse_grid(spec: str):
@@ -158,8 +163,9 @@ def _parse_grid(spec: str):
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid must be min:max:points, got {spec!r}") from exc
-    if not (lo < hi and 2 <= num <= MAX_GRID_POINTS):
-        raise ConfigError(f"grid needs min < max and 2 <= points <= "
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            and 2 <= num <= MAX_GRID_POINTS):
+        raise ConfigError(f"grid needs finite min < max and 2 <= points <= "
                           f"{MAX_GRID_POINTS}, got {spec!r}")
     return np.linspace(lo, hi, num)
 
@@ -168,9 +174,11 @@ def _parse_phase_spec(spec: str) -> np.ndarray:
     """Either a phase count ('12') or explicit radians ('0,0.26,...')."""
     if "," not in spec:
         try:
-            return uniform_phases(int(spec))
+            count = int(spec)
         except ValueError:
             pass
+        else:
+            return uniform_phases(count)
     try:
         return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     except ValueError as exc:
@@ -265,11 +273,10 @@ def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
         grid = wigner_grid(stage_states[tok], axis, axis)
 
         def writer(path, grid=grid):
-            with open(path, "w") as fh:
-                fh.write("x,p,w\n")
-                for i, x in enumerate(axis):
-                    for j, p in enumerate(axis):
-                        fh.write(f"{x:.12g},{p:.12g},{grid[i, j]:.12g}\n")
+            # built per file: the (x, p, w) table is three times the grid
+            xs, ps = np.meshgrid(axis, axis, indexing="ij")
+            _write_csv(path, "x,p,w",
+                       np.column_stack([xs.ravel(), ps.ravel(), grid.ravel()]))
 
         files[f"wigner_{tok}.csv"] = writer
         print(f"wigner_min[{tok}] = {grid.min():.6f}")
@@ -296,12 +303,11 @@ def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
     for key in ("mean_first_photon_storage", "mean_output_fidelity"):
         if math.isnan(payload[key]):
             payload[key] = None
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     print(f"successes = {stats.successes} in {stats.duration_s:.6g} s")
     print(f"estimated_rate_hz = {stats.estimated_rate_hz:.6g}")
     print(f"closed_form_rate_hz = {closed_form:.6g}")
     print(f"rate_gap_sigmas = {gap_sigmas:.3f}")
-    return {"stats.json": lambda p: Path(p).write_text(text),
+    return {"stats.json": lambda p: _write_json(p, payload),
             "events.jsonl": lambda p: write_event_log(events, p)}
 
 
@@ -394,8 +400,7 @@ def cmd_tomography(args, config: ProtocolConfig, settings: dict) -> dict:
         block = {name: {"mean": r.mean, "std": r.std, "ci_low": r.ci_low,
                         "ci_high": r.ci_high, "n_failed": r.n_failed}
                  for name, r in results.items()}
-        text = json.dumps(block, indent=2, sort_keys=True) + "\n"
-        files["bootstrap.json"] = lambda p: Path(p).write_text(text)
+        files["bootstrap.json"] = lambda p: _write_json(p, block)
         for name in sorted(results):
             r = results[name]
             print(f"bootstrap[{name}]: mean = {r.mean:.4f}, "

@@ -62,8 +62,11 @@ class AcceptanceWindow:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        # +inf is a valid half-width: the window clamps to the identity
+        if not self.half_width > 0:
             raise DomainError(f"window half-width must be > 0, got {self.half_width}")
+        if not np.isfinite(self.phase):
+            raise DomainError(f"window phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +275,7 @@ def condition(two_mode: TwoModeState, measured_mode: str,
         acceptance probability Tr[(1 x Pi) rho].
 
     Raises:
-        HeraldImpossibleError: acceptance probability below 1e-12.
+        HeraldImpossibleError: acceptance probability below 1e-12 or NaN.
     """
     d = two_mode.cutoff.dimension
     pi = homodyne_povm(window, two_mode.cutoff, detector_efficiency)
@@ -284,7 +287,7 @@ def condition(two_mode: TwoModeState, measured_mode: str,
     else:
         raise DomainError(f"measured_mode must be 'a' or 'b', got {measured_mode!r}")
     prob = float(np.real(np.trace(raw)))
-    if prob < 1e-12:
+    if not prob >= 1e-12:   # also refuses NaN
         raise HeraldImpossibleError(
             f"conditioning probability {prob:.3e} is numerically zero")
     state = (raw + raw.conj().T) / (2.0 * prob)
@@ -323,7 +326,7 @@ def single_photon_state(photon_fidelity: float = 0.87,
     """Heralded-photon model: F|1><1| + (1-F-w2)|0><0| + w2|2><2|."""
     if not 0.0 <= photon_fidelity <= 1.0:
         raise DomainError(f"photon fidelity must lie in [0, 1], got {photon_fidelity}")
-    if two_photon_weight < 0 or photon_fidelity + two_photon_weight > 1.0:
+    if not (two_photon_weight >= 0 and photon_fidelity + two_photon_weight <= 1.0):
         raise DomainError("two-photon weight must be >= 0 and F + w2 <= 1")
     mat = np.zeros((cutoff.dimension, cutoff.dimension), dtype=complex)
     mat[1, 1] = photon_fidelity

@@ -26,6 +26,7 @@ from .fock import (
     target_cat,
 )
 from .optics import AcceptanceWindow, breed, loss_channel, single_photon_state
+from .tomography import _write_csv
 
 # Every record the timeline writes, as (kind, reason, carries the storage
 # trips). A record's code in TimelineEvents is its row here.
@@ -323,12 +324,9 @@ CURVE_CSV_HEADER = "n_max,rate_hz,fidelity_at_creation,fidelity_after_readout"
 
 
 def write_curve_csv(rows: Sequence[CurveRow], path) -> None:
-    lines = [CURVE_CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r.n_max},{r.rate_hz:.10g},"
-                     f"{r.fidelity_at_creation:.10g},{r.fidelity_after_readout:.10g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.array([(r.n_max, r.rate_hz, r.fidelity_at_creation,
+                       r.fidelity_after_readout) for r in rows]).reshape(-1, 4)
+    _write_csv(path, CURVE_CSV_HEADER, table, fmt=["%d"] + ["%.10g"] * 3)
 
 
 def write_event_log(events: TimelineEvents, path) -> None:

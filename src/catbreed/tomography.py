@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,11 +39,10 @@ def _fold_phases(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class HomodyneDataset:
-    """Ordered quadrature samples (theta_i, x_i) plus source metadata."""
+    """Ordered quadrature samples (theta_i, x_i)."""
 
     thetas: np.ndarray
     xs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         th = np.atleast_1d(np.asarray(self.thetas, dtype=float))
@@ -63,15 +62,6 @@ class HomodyneDataset:
 
     def unique_phases(self) -> np.ndarray:
         return np.unique(np.round(self.thetas, 12))
-
-
-def concat_datasets(parts: list[HomodyneDataset]) -> HomodyneDataset:
-    meta = dict(parts[0].metadata) if parts else {}
-    return HomodyneDataset(
-        np.concatenate([p.thetas for p in parts]),
-        np.concatenate([p.xs for p in parts]),
-        meta,
-    )
 
 
 def marginal_pdf(rho: DensityOperator, theta: float):
@@ -113,7 +103,7 @@ def sample_homodyne(rho: DensityOperator, theta: float, count: int,
 
     Args:
         rho: state to measure.
-        theta: homodyne phase in radians.
+        theta: homodyne phase in radians, finite.
         count: number of samples, >= 1.
         rng: NumPy random generator (determinism contract: same seed,
             same dataset).
@@ -125,14 +115,15 @@ def sample_homodyne(rho: DensityOperator, theta: float, count: int,
     """
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
+    if not math.isfinite(theta):
+        raise DomainError(f"homodyne phase must be finite, got {theta}")
     if not 0.0 <= phase_noise_sigma < np.inf:
         raise DomainError(f"phase noise sigma must be finite and >= 0, "
                           f"got {phase_noise_sigma}")
-    meta = {"phase": theta, "count": count, "phase_noise_sigma": phase_noise_sigma}
     if phase_noise_sigma == 0.0:
         xg, cdf = _inverse_cdf_table(rho, theta)
         xs = np.interp(rng.random(count), cdf, xg)
-        return HomodyneDataset(np.full(count, theta), xs, meta)
+        return HomodyneDataset(np.full(count, theta), xs)
 
     jitter = rng.normal(0.0, phase_noise_sigma, size=count)
     edges = np.quantile(jitter, np.linspace(0.0, 1.0, 65))
@@ -145,7 +136,7 @@ def sample_homodyne(rho: DensityOperator, theta: float, count: int,
         delta = float(jitter[mask].mean())
         xg, cdf = _inverse_cdf_table(rho, theta + delta)
         xs[mask] = np.interp(rng.random(int(mask.sum())), cdf, xg)
-    return HomodyneDataset(np.full(count, theta), xs, meta)
+    return HomodyneDataset(np.full(count, theta), xs)
 
 
 def uniform_phases(n_phases: int) -> np.ndarray:
@@ -159,18 +150,16 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
                            total_count: int, rng: np.random.Generator,
                            phase_noise_sigma: float = 0.0) -> HomodyneDataset:
     """Split ``total_count`` samples across phases (earlier phases take
-    the remainder) and concatenate the per-phase datasets."""
+    the remainder) and concatenate the per-phase samples."""
     n_ph = len(phases)
     if n_ph == 0 or total_count < n_ph:
         raise DomainError("need at least one phase and one sample per phase")
     base, extra = divmod(total_count, n_ph)
-    parts = []
-    for k, th in enumerate(phases):
-        cnt = base + (1 if k < extra else 0)
-        parts.append(sample_homodyne(rho, float(th), cnt, rng, phase_noise_sigma))
-    ds = concat_datasets(parts)
-    ds.metadata["total_count"] = total_count
-    return ds
+    parts = [sample_homodyne(rho, float(th), base + (1 if k < extra else 0),
+                             rng, phase_noise_sigma)
+             for k, th in enumerate(phases)]
+    return HomodyneDataset(np.concatenate([p.thetas for p in parts]),
+                           np.concatenate([p.xs for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +414,7 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
     n_failed = 0
     for stream in streams:
         idx = stream.integers(0, n, size=n)
-        resample = HomodyneDataset(data.thetas[idx], data.xs[idx],
-                                   dict(data.metadata))
+        resample = HomodyneDataset(data.thetas[idx], data.xs[idx])
         try:
             result = maxlik_reconstruct(resample, **reconstruct_kwargs)
         except ConvergenceError:
@@ -463,64 +451,64 @@ def bootstrap(data: HomodyneDataset, n_resamples: int, statistic,
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: every table file is one header line of comma-separated
+# column names, then one line of comma-separated numbers per row
 
 DATASET_HEADER = "theta,x"
 
 
-def save_dataset_csv(data: HomodyneDataset, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for th, x in zip(data.thetas, data.xs):
-            fh.write(f"{th:.12g},{x:.12g}\n")
+def _write_csv(path, header: str, table: np.ndarray, fmt="%.12g") -> None:
+    """Write ``table`` row by row under ``header``; ``fmt`` is one format
+    for every column or a list of one per column."""
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
-def load_dataset_csv(path) -> HomodyneDataset:
+def _read_csv(path, what: str) -> tuple[list, np.ndarray]:
+    """Header column names and numeric body of a table file; an unreadable,
+    malformed or row-less file is a ConfigError naming ``what``."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
+            header = fh.readline().strip().split(",")
+            # a header-only file makes loadtxt warn; it is refused below
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 body = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"{path}: malformed dataset: {exc}") from exc
+        raise ConfigError(f"{path}: malformed {what}: {exc}") from exc
+    if body.size == 0:
+        raise ConfigError(f"{path}: {what} is empty")
+    return header, body
+
+
+def save_dataset_csv(data: HomodyneDataset, path) -> None:
+    _write_csv(path, DATASET_HEADER, np.column_stack([data.thetas, data.xs]))
+
+
+def load_dataset_csv(path) -> HomodyneDataset:
+    names, body = _read_csv(path, "dataset")
+    header = ",".join(names)
     if header != DATASET_HEADER:
         raise ConfigError(
             f"{path}: expected header {DATASET_HEADER!r}, got {header!r}")
-    if body.size == 0:
-        raise ConfigError(f"{path}: dataset is empty")
     if body.shape[1] != 2:
         raise ConfigError(
             f"{path}: expected 2 columns ({DATASET_HEADER}), got {body.shape[1]}")
-    return HomodyneDataset(body[:, 0], body[:, 1], {"source": str(path)})
+    return HomodyneDataset(body[:, 0], body[:, 1])
 
 
 def write_density_csv(rho: DensityOperator, path) -> None:
     """Density matrix as CSV with interleaved real/imaginary columns."""
     d = rho.dimension
-    header = ",".join(f"re_{n},im_{n}" for n in range(d))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rho.matrix:
-            cells = []
-            for val in row:
-                cells.append(f"{val.real:.12g}")
-                cells.append(f"{val.imag:.12g}")
-            fh.write(",".join(cells) + "\n")
+    m = rho.matrix
+    _write_csv(path, ",".join(f"re_{n},im_{n}" for n in range(d)),
+               np.stack([m.real, m.imag], axis=2).reshape(d, 2 * d))
 
 
 def read_density_csv(path) -> DensityOperator:
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read density matrix {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed density-matrix file: {exc}") from exc
-    if len(header) % 2 != 0 or body.size == 0:
+    header, body = _read_csv(path, "density-matrix file")
+    if len(header) % 2 != 0:
         raise ConfigError(f"{path}: malformed density-matrix file")
     d = len(header) // 2
     if body.shape != (d, 2 * d):

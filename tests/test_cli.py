@@ -14,6 +14,7 @@ from catbreed import (EVENT_KINDS, FockCutoff, ProtocolConfig, TargetCatSpec,
                       target_cat, wigner_grid, write_density_csv)
 import catbreed.cli as cli
 from catbreed.cli import OUTPUT_ROOT_ENV, main
+from conftest import random_density
 
 
 def run_cli(argv, capsys):
@@ -82,12 +83,20 @@ def test_breed_with_ideal_photons_hits_target(tmp_path, capsys):
     assert fid == pytest.approx(0.990223, abs=1e-5)
 
 
-def test_breed_rejects_degenerate_window(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["breed", "--output-dir", str(tmp_path / "run"), "--epsilon", "0.0"],
-        capsys)
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "0.0"), ("--epsilon", "nan"), ("--window-phase", "nan"),
+    ("--two-photon-weight", "nan")],
+    ids=["zero_epsilon", "nan_epsilon", "nan_window_phase",
+         "nan_two_photon_weight"])
+def test_breed_rejects_degenerate_window(tmp_path, capsys, flag, value):
+    # a NaN setting is refused where it enters, not carried into a NaN
+    # herald probability or a traceback
+    out = tmp_path / "run"
+    code, _, err = run_cli(["breed", "--output-dir", str(out), flag, value],
+                           capsys)
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error:")
+    assert not out.exists()
 
 
 def test_breed_impossible_window_is_numerical_failure(tmp_path, capsys):
@@ -151,6 +160,30 @@ def test_wigner_from_state_file(tmp_path, capsys):
         1.0 / np.pi, abs=1e-6)
     grid = read_wigner_csv(out / "wigner_none.csv")
     assert grid.shape == (161, 161)
+
+
+def reference_wigner_csv(axis, grid, path):
+    """The per-cell Wigner writer that the table writer replaced."""
+    with open(path, "w") as fh:
+        fh.write("x,p,w\n")
+        for i, x in enumerate(axis):
+            for j, p in enumerate(axis):
+                fh.write(f"{x:.12g},{p:.12g},{grid[i, j]:.12g}\n")
+
+
+def test_wigner_csv_matches_the_per_cell_oracle(tmp_path, capsys):
+    state_path = tmp_path / "state.csv"
+    write_density_csv(random_density(np.random.default_rng(74), 5), state_path)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(
+        ["wigner", "--output-dir", str(out), "--state-file", str(state_path),
+         "--grid=-2:2:41"], capsys)
+    assert code == 0
+    axis = np.linspace(-2, 2, 41)
+    grid = wigner_grid(read_density_csv(state_path), axis, axis)
+    reference_wigner_csv(axis, grid, tmp_path / "reference.csv")
+    assert ((out / "wigner_none.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 def test_wigner_pipeline_stage_map(tmp_path, capsys):
@@ -468,7 +501,9 @@ def tiny_tomography(tmp_path, out) -> list:
                                   "breed_grid", "wigner_grid",
                                   "bootstrap_grid", "nan_tol", "inf_tol",
                                   "negative_sigma", "empty_phases",
-                                  "huge_duration"])
+                                  "zero_phases", "negative_phases",
+                                  "infinite_phase", "nan_phase",
+                                  "infinite_grid", "huge_duration"])
 def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     # every command validates the protocol settings, and a command that
     # fails part-way leaves not even its output directory behind
@@ -506,6 +541,19 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
                            "--phase-noise-sigma", "-0.5"],
         "empty_phases": ["sample", "--output-dir", str(out), "--state-file",
                          str(state_path), "--count", "40", "--phases", ","],
+        # a refused phase count is not read as a single phase in radians
+        "zero_phases": ["sample", "--output-dir", str(out), "--state-file",
+                        str(state_path), "--count", "40", "--phases", "0"],
+        "negative_phases": ["sample", "--output-dir", str(out),
+                            "--state-file", str(state_path), "--count", "40",
+                            "--phases", "-3"],
+        "infinite_phase": ["sample", "--output-dir", str(out), "--state-file",
+                           str(state_path), "--count", "40", "--phases",
+                           "inf"],
+        "nan_phase": ["sample", "--output-dir", str(out), "--state-file",
+                      str(state_path), "--count", "40", "--phases", "0,nan"],
+        "infinite_grid": ["wigner", "--output-dir", str(out), "--pipeline",
+                          "--grid", "0:inf:3"],
         # 1e7 s at 310 kHz would need hundreds of terabytes of events; the
         # herald cap refuses it before anything is drawn
         "huge_duration": ["simulate", "--output-dir", str(out),

@@ -241,8 +241,9 @@ def test_loss_rejects_out_of_range_transmission():
 # windowed homodyne POVM
 
 def test_wide_window_povm_is_identity():
-    pi = homodyne_povm(AcceptanceWindow(50.0), FockCutoff(15))
-    np.testing.assert_allclose(pi, np.eye(16), atol=1e-8)
+    for eps in (50.0, np.inf):
+        pi = homodyne_povm(AcceptanceWindow(eps), FockCutoff(15))
+        np.testing.assert_allclose(pi, np.eye(16), atol=1e-8)
 
 
 def test_povm_vacuum_element_is_gaussian_mass():
@@ -296,10 +297,15 @@ def test_povm_rejects_bad_detector_efficiency():
 
 
 def test_window_requires_positive_half_width():
-    with pytest.raises(DomainError):
-        AcceptanceWindow(0.0)
-    with pytest.raises(DomainError):
-        AcceptanceWindow(-0.3)
+    for eps in (0.0, -0.3, np.nan, -np.inf):
+        with pytest.raises(DomainError, match="half-width"):
+            AcceptanceWindow(eps)
+
+
+def test_window_requires_finite_phase():
+    for phase in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="phase"):
+            AcceptanceWindow(0.3, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,10 @@ def test_condition_impossible_outcome_raises():
     joint = beam_splitter(vac, one, 1.0)
     with pytest.raises(HeraldImpossibleError):
         condition(joint, "b", AcceptanceWindow(1e-5))
+    # a NaN probability is no herald either
+    poisoned = TwoModeState(np.full_like(joint.matrix, np.nan), CUT)
+    with pytest.raises(HeraldImpossibleError):
+        condition(poisoned, "b", WINDOW)
 
 
 def test_condition_symmetric_between_modes():
@@ -463,3 +473,7 @@ def test_single_photon_state_population_model():
         single_photon_state(1.2)
     with pytest.raises(DomainError):
         single_photon_state(0.9, two_photon_weight=0.2)
+    with pytest.raises(DomainError):
+        single_photon_state(np.nan)
+    with pytest.raises(DomainError):
+        single_photon_state(0.87, two_photon_weight=np.nan)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, DomainError, EVENT_KINDS,
+from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
+                      CurveRow, DomainError, EVENT_KINDS,
                       EVENT_RECORDS, ProtocolConfig, RunStatistics,
                       TargetCatSpec, calibrate_beta_elec,
                       fidelity_to_pure, fidelity_vs_storage_curve, fock_state,
@@ -273,6 +274,27 @@ def test_curve_csv_round_trip(tmp_path):
         assert float(rate) == pytest.approx(row.rate_hz, rel=1e-9)
         assert float(fc) == pytest.approx(row.fidelity_at_creation, rel=1e-9)
         assert float(fr) == pytest.approx(row.fidelity_after_readout, rel=1e-9)
+
+
+def reference_curve_csv(rows, path):
+    """The per-row curve writer that the table writer replaced."""
+    lines = [CURVE_CSV_HEADER]
+    for r in rows:
+        lines.append(f"{r.n_max},{r.rate_hz:.10g},"
+                     f"{r.fidelity_at_creation:.10g},{r.fidelity_after_readout:.10g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_curve_csv_matches_the_per_row_oracle(tmp_path):
+    rows = fidelity_vs_storage_curve(CFG, [1, 5, 15]) + [
+        CurveRow(10**6, 0.0, -0.0, 1e-300),
+        CurveRow(7, 1.0 / 3.0, 0.12345678901234, 2.0e7)]
+    table, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    for case in (rows, []):
+        write_curve_csv(case, table)
+        reference_curve_csv(case, reference)
+        assert table.read_bytes() == reference.read_bytes()
 
 
 # ---------------------------------------------------------------------------
