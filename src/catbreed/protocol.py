@@ -10,6 +10,7 @@ photon waited n trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -101,6 +102,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_min < 1 or self.n_min > self.n_max:
             raise DomainError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
+        for name in ("f_rep", "f_herald"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if not 0.0 <= self.f_herald < self.f_rep:
             raise DomainError("heralding rate must satisfy 0 <= f_herald < f_rep")
         if not 0.0 <= self.beta_elec <= 1.0:

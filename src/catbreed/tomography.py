@@ -11,6 +11,7 @@ a loss map.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -154,6 +155,10 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
     n_ph = len(phases)
     if n_ph == 0 or total_count < n_ph:
         raise DomainError("need at least one phase and one sample per phase")
+    finite = np.isfinite(phases)
+    if not finite.all():
+        raise DomainError(f"homodyne phase must be finite, got "
+                          f"{phases[np.argmin(finite)]}")
     base, extra = divmod(total_count, n_ph)
     parts = [sample_homodyne(rho, float(th), base + (1 if k < extra else 0),
                              rng, phase_noise_sigma)
@@ -167,6 +172,7 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
 
 N_X_BINS = 200          # uniform bins across [-6, 6]
 X_BIN_SPAN = 6.0        # plus one tail bin out to the grid edge on each side
+RESAMPLE_BLOCK = 16     # bootstrap resamples fitted together
 
 
 def _bin_edges() -> np.ndarray:
@@ -175,19 +181,30 @@ def _bin_edges() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
-    """Real window matrices W of shape (n_bins, d * d) for binned MaxLik.
+def _upper_triangle(dimension: int) -> tuple:
+    """Row and column indices of the d(d+1)/2 entries on and above the
+    diagonal, and the weight of each in a trace: 1 on the diagonal, 2 off
+    it, where the entry stands for its mirror too."""
+    rows, cols = np.triu_indices(dimension)
+    return rows, cols, np.where(rows == cols, 1.0, 2.0)
 
-    Row b is the window integral over x-bin b at phase 0, smeared by the
-    loss adjoint when eta_total < 1. The POVM element of (phase k, bin b)
-    is W_b * _phase_rotation(theta_k, d) elementwise: loss is phase
-    covariant, so smearing and rotating commute, and no phase enters the
-    cache key.
+
+@lru_cache(maxsize=8)
+def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
+    """Real window matrices of shape (n_bins, d(d+1)/2) for binned MaxLik.
+
+    Row b is the upper triangle of the window integral W_b over x-bin b at
+    phase 0, smeared by the loss adjoint when eta_total < 1; W_b is
+    symmetric, so the triangle holds all of it. The POVM element of
+    (phase k, bin b) is W_b * _phase_rotation(theta_k, d) elementwise: loss
+    is phase covariant, so smearing and rotating commute, and no phase
+    enters the cache key.
     """
+    rows, cols, _ = _upper_triangle(dimension)
     edges = _bin_edges()
     windows = np.stack([
         _smear_povm(_window_matrix(dimension, float(lo), float(hi)),
-                    eta_total).real.ravel()
+                    eta_total).real[rows, cols]
         for lo, hi in zip(edges[:-1], edges[1:])
     ])
     windows.setflags(write=False)
@@ -196,19 +213,40 @@ def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
 
 def _cell_probabilities(rho: np.ndarray, windows: np.ndarray,
                         rotations: np.ndarray) -> np.ndarray:
-    """p[k, b] = Tr(Pi_kb rho) for Pi_kb = W_b * rot_k, with ``rotations``
-    the (n_phases, d * d) stack of flattened rot_k.
+    """p[i, k, b] = Tr(Pi_kb rho_i) for a stack rho of shape (B, d, d) and
+    Pi_kb = W_b * rot_k, with ``windows`` and ``rotations`` the
+    (n_bins, T) and (n_phases, T) upper triangles of W_b and rot_k,
+    T = d(d+1)/2.
 
-    W_b is real, so only Re(rot_k * rho^T) contributes.
+    W_b is real and symmetric and rho_i Hermitian, so the trace is the sum
+    over the triangle of Re(rot_k * conj(rho_i)) W_b, off-diagonal entries
+    counted twice.
     """
-    return np.real(rotations * rho.T.ravel()) @ windows.T
+    rows, cols, weight = _upper_triangle(rho.shape[-1])
+    upper = rho[:, rows, cols] * weight
+    terms = (rotations.real * upper.real[:, None]
+             + rotations.imag * upper.imag[:, None])
+    n_fits, n_phases, n_upper = terms.shape
+    probs = terms.reshape(-1, n_upper) @ windows.T
+    return probs.reshape(n_fits, n_phases, -1)
 
 
 def _likelihood_operator(weights: np.ndarray, windows: np.ndarray,
                          rotations: np.ndarray) -> np.ndarray:
-    """R = sum_kb weights[k, b] Pi_kb = sum_k rot_k * (weights_k @ W)."""
-    d = math.isqrt(windows.shape[1])
-    return np.sum(rotations * (weights @ windows), axis=0).reshape(d, d)
+    """R_i = sum_kb weights[i, k, b] Pi_kb = sum_k rot_k * (weights_ik @ W)
+    for a (B, n_phases, n_bins) stack of weights, built from its upper
+    triangle: R_i is Hermitian."""
+    n_fits, n_phases, n_bins = weights.shape
+    folded = (weights.reshape(-1, n_bins) @ windows).reshape(
+        n_fits, n_phases, -1)
+    upper = (np.einsum("ikt,kt->it", folded, rotations.real)
+             + 1j * np.einsum("ikt,kt->it", folded, rotations.imag))
+    d = math.isqrt(2 * windows.shape[1])
+    rows, cols, _ = _upper_triangle(d)
+    R = np.empty((n_fits, d, d), dtype=complex)
+    R[:, cols, rows] = upper.conj()
+    R[:, rows, cols] = upper
+    return R
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +281,144 @@ def _efficiency_transmission(efficiency_model: str, eta_detection: float,
     return eta_total
 
 
+@dataclass(frozen=True, eq=False)
+class _BinnedProblem:
+    """One dataset's MaxLik problem: validated fit settings, the (phase,
+    x-bin) cell of every sample and the folded POVM factors."""
+
+    cutoff: FockCutoff
+    efficiency_model: str
+    max_iter: int
+    tol_per_sample: float
+    cells: np.ndarray       # flat cell index of each sample
+    windows: np.ndarray     # (n_bins, d(d+1)/2) triangles of the W_b in use
+    rotations: np.ndarray   # (n_phases, d(d+1)/2) triangles of rot_k
+
+    def counts(self, samples=slice(None)) -> np.ndarray:
+        """(n_phases, n_bins) count table of the samples at ``samples``."""
+        shape = (len(self.rotations), len(self.windows))
+        return np.bincount(self.cells[samples],
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    def _update(self, rho: np.ndarray, freq: np.ndarray) -> tuple:
+        """Clipped cell probabilities and R = sum_j (f_j/p_j) Pi_j of each
+        fit; an empty cell has f_j = 0 and adds nothing."""
+        probs = np.clip(_cell_probabilities(rho, self.windows, self.rotations),
+                        1e-12, None)
+        return probs, _likelihood_operator(freq / probs, self.windows,
+                                           self.rotations)
+
+    def fit(self, counts: np.ndarray) -> list:
+        """Run the R-rho-R iteration on a (B, n_phases, n_bins) stack of
+        count tables together. Each fit keeps its own stop test and leaves
+        the running set when it stops.
+
+        Returns one (rho, history, gain, stop_reason, gap_bound) per table.
+        """
+        d = self.cutoff.dimension
+        n_fits = len(counts)
+        freq = counts / counts.sum(axis=(1, 2), keepdims=True)
+        diagonal = np.arange(d)
+        rho = np.tile(np.eye(d, dtype=complex) / d, (n_fits, 1, 1))
+        histories = [[] for _ in range(n_fits)]
+        # the first gain is inf, above every accepted tolerance
+        last = np.full(n_fits, -np.inf)
+        gains = np.empty(n_fits)
+        converged = np.zeros(n_fits, dtype=bool)
+        running = np.arange(n_fits)
+        for _ in range(self.max_iter):
+            active = freq[running]
+            probs, R = self._update(rho[running], active)
+            ll = np.sum(active * np.log(probs), axis=(1, 2))
+            gains[running] = ll - last[running]
+            last[running] = ll
+            for i, value in zip(running, ll.tolist()):
+                histories[i].append(value)
+            stop = gains[running] < self.tol_per_sample
+            converged[running[stop]] = True
+            running, R = running[~stop], R[~stop]
+            if not running.size:
+                break
+            R[:, diagonal, diagonal] += 1e-12
+            step = R @ rho[running] @ R
+            step = (step + step.conj().swapaxes(1, 2)) / 2.0
+            step /= np.trace(step, axis1=1, axis2=2).real[:, None, None]
+            rho[running] = step
+
+        # concavity of the log-likelihood bounds the per-sample gap to the
+        # maximum by lambda_max(R) - 1 at the returned estimate (Glancy,
+        # Knill & Girard, NJP 14, 095017, 2012); one non-finite fit must
+        # not stop eigvalsh on the others
+        _, R = self._update(rho, freq)
+        finite = np.all(np.isfinite(R), axis=(1, 2))
+        gap = np.full(n_fits, np.nan)
+        gap[finite] = np.linalg.eigvalsh(R[finite])[:, -1] - 1.0
+        return [(rho[i], histories[i], gains[i],
+                 "converged" if converged[i] else "max_iterations", gap[i])
+                for i in range(n_fits)]
+
+
+def _binned_problem(data: HomodyneDataset, cutoff: FockCutoff,
+                    efficiency_model: str, eta_detection: float,
+                    storage_transmission: float, max_iter: int,
+                    tol_per_sample: float) -> _BinnedProblem:
+    """Validate maxlik_reconstruct's arguments and bin ``data``."""
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol_per_sample < np.inf:
+        raise DomainError(f"tol_per_sample must be a number below inf, got "
+                          f"{tol_per_sample}")
+    d = cutoff.dimension
+    if len(data) < d:
+        raise ConvergenceError(
+            f"under-determined reconstruction: {len(data)} samples for "
+            f"dimension {d}; need at least {d}")
+    eta_total = _efficiency_transmission(efficiency_model, eta_detection,
+                                         storage_transmission)
+
+    edges = _bin_edges()
+    outside = int(np.count_nonzero((data.xs < edges[0]) | (data.xs > edges[-1])))
+    if outside:
+        raise DomainError(
+            f"{outside} of {len(data)} samples lie outside the binned "
+            f"quadrature span [{edges[0]:g}, {edges[-1]:g}]")
+    phases = data.unique_phases()
+    rows, cols, _ = _upper_triangle(d)
+    phase_of = np.searchsorted(phases, np.round(data.thetas, 12))
+    # bins are closed on the left, the last one on both sides; an x-bin no
+    # sample falls in has f = 0 at every phase, adds nothing to R or the
+    # likelihood, and is left out
+    bins, bin_of = np.unique(
+        np.minimum(np.searchsorted(edges, data.xs, side="right") - 1,
+                   len(edges) - 2),
+        return_inverse=True)
+    return _BinnedProblem(
+        cutoff=cutoff, efficiency_model=efficiency_model, max_iter=max_iter,
+        tol_per_sample=tol_per_sample, cells=phase_of * len(bins) + bin_of,
+        windows=_binned_povm(d, float(eta_total))[bins],
+        rotations=np.stack([_phase_rotation(th, d)[rows, cols]
+                            for th in phases]))
+
+
+def _fit_result(problem: _BinnedProblem, rho: np.ndarray, history: list,
+                gain: float, stop_reason: str,
+                gap_bound: float) -> ReconstructionResult:
+    """The ReconstructionResult of one finished fit; a non-finite estimate
+    is a ConvergenceError."""
+    if not np.all(np.isfinite(rho)):
+        raise ConvergenceError(
+            f"MaxLik estimate is not finite after {len(history)} iterations")
+    return ReconstructionResult(
+        rho_hat=DensityOperator(rho, problem.cutoff),
+        iterations=len(history),
+        final_likelihood_gain=float(gain),
+        efficiency_model=problem.efficiency_model,
+        likelihood_history=tuple(history),
+        stop_reason=stop_reason,
+        gap_bound=float(gap_bound),
+    )
+
+
 def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
                        efficiency_model: str = "none",
                        eta_detection: float = 0.76,
@@ -254,9 +430,10 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
     Samples are binned per (phase, x-bin) cell; the update is
     rho <- normalize(R rho R) with R = sum_j (f_j / p_j) Pi_j over the
     observed cells, which never decreases the binned log-likelihood.
-    Each Pi_j factors into a real window matrix and a phase rotation, so
-    an iteration costs two real products with the (n_bins, d * d) window
-    matrix and never forms the complex POVM stack.
+    Each Pi_j factors into a real symmetric window matrix and a phase
+    rotation, so an iteration costs two real products with the
+    (n_bins, d(d+1)/2) upper triangles of the window matrices and never
+    forms the complex POVM stack.
     Cell probabilities are floored at 1e-12 and R is dampened with a
     1e-12 identity so empty-model cells cannot produce divisions by
     zero.
@@ -283,86 +460,15 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
 
     Raises:
         ConvergenceError: dataset smaller than the basis dimension
-            (under-determined problem).
+            (under-determined problem), or a non-finite estimate.
         DomainError: unknown efficiency model, an efficiency it uses
             outside (0, 1], samples outside [-12, 12], max_iter < 1, or a
             tol_per_sample that is NaN or +inf.
     """
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol_per_sample < np.inf:
-        raise DomainError(f"tol_per_sample must be a number below inf, got "
-                          f"{tol_per_sample}")
-    d = cutoff.dimension
-    if len(data) < d:
-        raise ConvergenceError(
-            f"under-determined reconstruction: {len(data)} samples for "
-            f"dimension {d}; need at least {d}")
-    eta_total = _efficiency_transmission(efficiency_model, eta_detection,
-                                         storage_transmission)
-
-    edges = _bin_edges()
-    outside = int(np.count_nonzero((data.xs < edges[0]) | (data.xs > edges[-1])))
-    if outside:
-        raise DomainError(
-            f"{outside} of {len(data)} samples lie outside the binned "
-            f"quadrature span [{edges[0]:g}, {edges[-1]:g}]")
-    phases = data.unique_phases()
-    windows = _binned_povm(d, float(eta_total))
-    rotations = np.stack([_phase_rotation(th, d).ravel() for th in phases])
-    counts = np.zeros((len(phases), len(edges) - 1))
-    phase_of = np.searchsorted(phases, np.round(data.thetas, 12))
-    for k in range(len(phases)):
-        counts[k], _ = np.histogram(data.xs[phase_of == k], bins=edges)
-    freq = counts / counts.sum()
-
-    # boolean indexing keeps the (phase, bin) cells in row-major order
-    occupied = freq > 0
-    freq_occ = freq[occupied]
-    weights = np.zeros_like(freq)
-
-    def update_operator(rho):
-        """Clipped occupied-cell probabilities and R = sum_j (f_j/p_j) Pi_j."""
-        probs = _cell_probabilities(rho, windows, rotations)[occupied]
-        probs = np.clip(probs, 1e-12, None)
-        weights[occupied] = freq_occ / probs
-        return probs, _likelihood_operator(weights, windows, rotations)
-
-    damping = 1e-12 * np.eye(d)
-    rho = np.eye(d, dtype=complex) / d
-    history = []
-    stop_reason = "max_iterations"
-    gain = float("inf")
-    for _ in range(max_iter):
-        probs, R = update_operator(rho)
-        ll = float(np.sum(freq_occ * np.log(probs)))
-        if history:
-            gain = ll - history[-1]
-        history.append(ll)
-        # gain starts at inf, above every accepted tolerance
-        if gain < tol_per_sample:
-            stop_reason = "converged"
-            break
-        R = R + damping
-        rho = R @ rho @ R
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.real(np.trace(rho))
-
-    # concavity of the log-likelihood bounds the per-sample gap to the
-    # maximum by lambda_max(R) - 1 at the returned estimate (Glancy, Knill
-    # & Girard, NJP 14, 095017, 2012)
-    _, R = update_operator(rho)
-    gap_bound = float(np.linalg.eigvalsh(R)[-1]) - 1.0
-
-    return ReconstructionResult(
-        rho_hat=DensityOperator(rho, cutoff),
-        iterations=len(history),
-        final_likelihood_gain=gain,
-        efficiency_model=efficiency_model,
-        likelihood_history=tuple(history),
-        stop_reason=stop_reason,
-        gap_bound=gap_bound,
-    )
+    problem = _binned_problem(data, cutoff, efficiency_model, eta_detection,
+                              storage_transmission, max_iter, tol_per_sample)
+    (outcome,) = problem.fit(problem.counts()[None])
+    return _fit_result(problem, *outcome)
 
 
 @dataclass(frozen=True)
@@ -381,11 +487,13 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
                    **reconstruct_kwargs) -> dict:
     """Bootstrap several statistics while reconstructing each resample once.
 
-    Each resample redraws the dataset with replacement, re-runs
-    maxlik_reconstruct, and evaluates every statistic on the resulting
-    ReconstructionResult. Per-resample RNG streams are spawned from
-    ``rng`` in resample order, so results are deterministic under a
-    fixed master seed and independent of execution interleaving.
+    Each resample redraws the dataset with replacement and is fitted as
+    maxlik_reconstruct would fit it; every statistic is evaluated on the
+    resulting ReconstructionResult. The data are validated and binned
+    once; a resample is the count table of its redrawn cells, and
+    RESAMPLE_BLOCK resamples are fitted together. Per-resample RNG
+    streams are spawned from ``rng`` in resample order, so results are
+    deterministic under a fixed master seed.
 
     Args:
         data: original dataset.
@@ -393,8 +501,8 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
         statistics: mapping name -> callable(ReconstructionResult) -> float,
             e.g. fidelity to a target or a Wigner minimum.
         rng: master generator.
-        **reconstruct_kwargs: forwarded to maxlik_reconstruct (must
-            include ``cutoff``).
+        **reconstruct_kwargs: maxlik_reconstruct's arguments after
+            ``data`` (must include ``cutoff``).
 
     Returns:
         dict name -> BootstrapResult with mean, std and the 2.5/97.5
@@ -408,20 +516,26 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
             f"n_resamples must be >= {MIN_RESAMPLES}, got {n_resamples}")
     if not statistics:
         raise DomainError("need at least one statistic")
-    streams = rng.spawn(n_resamples)
+    settings = inspect.signature(maxlik_reconstruct).bind(
+        data, **reconstruct_kwargs)
+    settings.apply_defaults()
+    problem = _binned_problem(*settings.args)
     n = len(data)
     values = {name: [] for name in statistics}
     n_failed = 0
-    for stream in streams:
-        idx = stream.integers(0, n, size=n)
-        resample = HomodyneDataset(data.thetas[idx], data.xs[idx])
-        try:
-            result = maxlik_reconstruct(resample, **reconstruct_kwargs)
-        except ConvergenceError:
-            n_failed += 1
-            continue
-        for name, statistic in statistics.items():
-            values[name].append(float(statistic(result)))
+    for start in range(0, n_resamples, RESAMPLE_BLOCK):
+        # spawning block by block continues the same child sequence
+        streams = rng.spawn(min(RESAMPLE_BLOCK, n_resamples - start))
+        counts = np.stack([problem.counts(stream.integers(0, n, size=n))
+                           for stream in streams])
+        for outcome in problem.fit(counts):
+            try:
+                result = _fit_result(problem, *outcome)
+            except ConvergenceError:
+                n_failed += 1
+                continue
+            for name, statistic in statistics.items():
+                values[name].append(float(statistic(result)))
     if n_failed > 0.1 * n_resamples:
         raise ConvergenceError(
             f"bootstrap failed: {n_failed}/{n_resamples} resamples did not "

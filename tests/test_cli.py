@@ -503,7 +503,8 @@ def tiny_tomography(tmp_path, out) -> list:
                                   "negative_sigma", "empty_phases",
                                   "zero_phases", "negative_phases",
                                   "infinite_phase", "nan_phase",
-                                  "infinite_grid", "huge_duration"])
+                                  "infinite_grid", "huge_duration",
+                                  "infinite_f_rep", "nan_f_herald"])
 def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     # every command validates the protocol settings, and a command that
     # fails part-way leaves not even its output directory behind
@@ -558,10 +559,17 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
         # herald cap refuses it before anything is drawn
         "huge_duration": ["simulate", "--output-dir", str(out),
                           "--duration-s", "1e7"],
+        "infinite_f_rep": ["simulate", "--output-dir", str(out),
+                           "--duration-s", "0.01", "--f-rep", "inf"],
+        "nan_f_herald": ["simulate", "--output-dir", str(out),
+                         "--duration-s", "0.01", "--f-herald", "nan"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+    if case.endswith(("f_rep", "f_herald")):
+        # the message blames the rate, not the valid duration
+        assert err.startswith(f"error: {case.split('_', 1)[1]} must be finite")
     assert not out.exists()
 
 

@@ -307,6 +307,11 @@ def test_protocol_config_rejects_bad_values():
         replace(CFG, n_min=16, n_max=15)
     with pytest.raises(DomainError):
         replace(CFG, f_herald=80e6)
+    # a non-finite rate is refused by name, not by a check downstream
+    for name in ("f_rep", "f_herald"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                replace(CFG, **{name: value})
     with pytest.raises(DomainError):
         replace(CFG, beta_elec=1.5)
     with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +19,9 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       uniform_phases, write_density_csv, write_meta)
 from catbreed.fock import StateVector, _phase_rotation
 from catbreed.optics import _smear_povm, _window_matrix
-from catbreed.tomography import (_bin_edges, _binned_povm,
-                                 _cell_probabilities, _likelihood_operator)
+from catbreed.tomography import (RESAMPLE_BLOCK, _bin_edges, _binned_povm,
+                                 _cell_probabilities, _likelihood_operator,
+                                 _upper_triangle)
 import catbreed.tomography as tomo
 from conftest import random_density
 
@@ -145,6 +148,10 @@ def test_sample_homodyne_rejects_non_finite_phase():
         with pytest.raises(DomainError, match="homodyne phase"):
             sample_homodyne(vac, theta, 10, rng)
     # refused before anything was drawn
+    assert rng.bit_generator.state == before
+    # a phase list is checked whole before its first phase is sampled
+    with pytest.raises(DomainError, match="homodyne phase"):
+        sample_homodyne_phases(vac, [0.0, 1.0, np.nan], 30, rng)
     assert rng.bit_generator.state == before
 
 
@@ -312,24 +319,37 @@ def test_maxlik_estimate_is_phase_covariant():
     np.testing.assert_allclose(moved.matrix, conjugated, atol=1e-8)
 
 
+def full_windows(d, eta):
+    """The (n_bins, d, d) window matrices whose upper triangles
+    _binned_povm holds."""
+    rows, cols, _ = _upper_triangle(d)
+    upper = _binned_povm(d, eta)
+    windows = np.empty((len(upper), d, d))
+    windows[:, rows, cols] = upper
+    windows[:, cols, rows] = upper
+    return windows
+
+
 def test_binned_povm_resolves_identity():
     d = 13
     for eta in (1.0, 0.76):
-        windows = _binned_povm(d, eta).reshape(-1, d, d)
+        windows = full_windows(d, eta)
         for theta in (0.0, 0.5, 1.1):
             total = (windows * _phase_rotation(theta, d)).sum(axis=0)
             np.testing.assert_allclose(total, np.eye(d), atol=1e-8)
 
 
 def test_factored_kernel_matches_dense_povm_stack():
-    # the kernel never forms the (n_phases * n_bins, d, d) POVM stack;
-    # build that stack here and contract it directly
+    # the kernel never forms the (n_phases * n_bins, d, d) POVM stack and
+    # reads only the upper triangles of W_b, rot_k and rho; build that
+    # stack here and contract it directly, for a stack of two states
     d = 13
     rng = np.random.default_rng(57)
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = (a + a.conj().T) / 2.0
+    a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    rho = (a + a.conj().swapaxes(1, 2)) / 2.0
     phases = (0.0, 0.5, 1.1)
-    rotations = np.stack([_phase_rotation(t, d).ravel() for t in phases])
+    rows, cols, _ = _upper_triangle(d)
+    rotations = np.stack([_phase_rotation(t, d)[rows, cols] for t in phases])
     edges = _bin_edges()
     for eta in (1.0, 0.76):
         base = np.stack([
@@ -339,13 +359,14 @@ def test_factored_kernel_matches_dense_povm_stack():
         windows = _binned_povm(d, eta)
 
         probs = _cell_probabilities(rho, windows, rotations)
-        assert probs.shape == (len(phases), len(edges) - 1)
-        dense = np.real(np.einsum("jmn,nm->j", stack, rho))
-        np.testing.assert_allclose(probs.ravel(), dense, rtol=0, atol=1e-14)
+        assert probs.shape == (2, len(phases), len(edges) - 1)
+        dense = np.real(np.einsum("jmn,inm->ij", stack, rho))
+        np.testing.assert_allclose(probs.reshape(2, -1), dense, rtol=0,
+                                   atol=1e-14)
 
         weights = rng.normal(size=probs.shape)
         R = _likelihood_operator(weights, windows, rotations)
-        dense = np.einsum("j,jmn->mn", weights.ravel(), stack)
+        dense = np.einsum("ij,jmn->imn", weights.reshape(2, -1), stack)
         np.testing.assert_allclose(R, dense, rtol=0, atol=1e-14)
 
 
@@ -471,18 +492,20 @@ def test_bootstrap_tolerates_rare_failures(monkeypatch):
     vac = fock_state(0, FockCutoff(4)).to_density()
     data = sample_homodyne_phases(vac, uniform_phases(4), 500,
                                   np.random.default_rng(65))
-    real = tomo.maxlik_reconstruct
+    real = tomo._fit_result
     calls = {"n": 0}
 
+    # every finished resample fit becomes a result through _fit_result
     def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] % 20 == 0:
             raise ConvergenceError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tomo, "maxlik_reconstruct", flaky)
+    monkeypatch.setattr(tomo, "_fit_result", flaky)
     result = bootstrap(data, 60, lambda r: float(r.rho_hat.populations()[0]),
                        np.random.default_rng(9), cutoff=FockCutoff(4))
+    assert calls["n"] == 60
     assert result.n_failed == 3
     assert len(result.values) == 57
 
@@ -491,19 +514,114 @@ def test_bootstrap_raises_when_failures_dominate(monkeypatch):
     vac = fock_state(0, FockCutoff(4)).to_density()
     data = sample_homodyne_phases(vac, uniform_phases(4), 500,
                                   np.random.default_rng(66))
-    real = tomo.maxlik_reconstruct
+    real = tomo._fit_result
     calls = {"n": 0}
 
+    # every finished resample fit becomes a result through _fit_result
     def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] % 5 == 0:
             raise ConvergenceError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tomo, "maxlik_reconstruct", flaky)
+    monkeypatch.setattr(tomo, "_fit_result", flaky)
     with pytest.raises(ConvergenceError):
         bootstrap(data, 60, lambda r: float(r.rho_hat.populations()[0]),
                   np.random.default_rng(10), cutoff=FockCutoff(4))
+
+
+def serial_bootstrap(data, n_resamples, statistics, rng, **reconstruct_kwargs):
+    """The per-resample loop that bootstrap_many replaced: a new dataset and
+    one maxlik_reconstruct call per resample, statistic values in resample
+    order."""
+    values = {name: [] for name in statistics}
+    n = len(data)
+    for stream in rng.spawn(n_resamples):
+        idx = stream.integers(0, n, size=n)
+        result = maxlik_reconstruct(HomodyneDataset(data.thetas[idx],
+                                                    data.xs[idx]),
+                                    **reconstruct_kwargs)
+        for name, statistic in statistics.items():
+            values[name].append(float(statistic(result)))
+    return values
+
+
+ORACLE_STATISTICS = {
+    "iterations": lambda r: r.iterations,
+    "converged": lambda r: r.stop_reason == "converged",
+    "final_gain": lambda r: r.final_likelihood_gain,
+    "final_likelihood": lambda r: r.likelihood_history[-1],
+    "gap_bound": lambda r: r.gap_bound,
+    "p0": lambda r: float(r.rho_hat.populations()[0]),
+    "p1": lambda r: float(r.rho_hat.populations()[1]),
+    "coherence_01": lambda r: float(abs(r.rho_hat.matrix[0, 1])),
+}
+
+
+@pytest.mark.parametrize("case", ["53_resamples", "lost_phase",
+                                  "capped_detection_storage", "no_tolerance"])
+def test_bootstrap_many_matches_the_per_resample_loop(case):
+    truth = single_photon_state(0.87, 0.0, FockCutoff(4))
+    data = sample_homodyne_phases(truth, uniform_phases(4), 400,
+                                  np.random.default_rng(67))
+    n_resamples = 50
+    kwargs = {"cutoff": FockCutoff(4)}
+    if case == "53_resamples":
+        n_resamples = 53
+        assert n_resamples % RESAMPLE_BLOCK
+    elif case == "lost_phase":
+        # two of the 400 samples sit at a fifth phase, which about one
+        # resample in seven does not draw
+        data = HomodyneDataset(np.concatenate([data.thetas[:398], [2.0, 2.0]]),
+                               data.xs)
+        lost = [not np.any(data.thetas[s.integers(0, 400, size=400)] == 2.0)
+                for s in np.random.default_rng(11).spawn(n_resamples)]
+        assert 0 < sum(lost) < n_resamples
+    elif case == "capped_detection_storage":
+        kwargs.update(efficiency_model="detection+storage", max_iter=40)
+    else:
+        kwargs.update(max_iter=30, tol_per_sample=-np.inf)
+
+    want = serial_bootstrap(data, n_resamples, ORACLE_STATISTICS,
+                            np.random.default_rng(11), **kwargs)
+    got = bootstrap_many(data, n_resamples, ORACLE_STATISTICS,
+                         np.random.default_rng(11), **kwargs)
+    assert got["iterations"].values == tuple(want["iterations"])
+    assert got["converged"].values == tuple(want["converged"])
+    if case in ("capped_detection_storage", "no_tolerance"):
+        assert not any(want["converged"])
+        assert set(want["iterations"]) == {kwargs["max_iter"]}
+    for name, vals in want.items():
+        arr = np.array(vals)
+        lo, hi = np.percentile(arr, [2.5, 97.5])
+        result = got[name]
+        assert result.n_resamples == n_resamples and result.n_failed == 0
+        np.testing.assert_allclose(result.values, arr, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [result.mean, result.std, result.ci_low, result.ci_high],
+            [arr.mean(), arr.std(ddof=1), lo, hi], rtol=0, atol=1e-12)
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    # resamples are fitted block by block, so the traced peak stays that of
+    # a block and its statistic values, whatever the resample count
+    vac = fock_state(0, FockCutoff(4)).to_density()
+    data = sample_homodyne_phases(vac, uniform_phases(4), 2000,
+                                  np.random.default_rng(68))
+    stat = {"p0": lambda r: float(r.rho_hat.populations()[0])}
+    peaks = {}
+    # the first call fills the window-matrix cache
+    for n_resamples in (50, 50, 400):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            bootstrap_many(data, n_resamples, stat, np.random.default_rng(12),
+                           cutoff=FockCutoff(4), max_iter=20)
+            peaks[n_resamples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # fitting every resample at once would make this about 8
+    assert peaks[400] < 2.0 * peaks[50]
 
 
 # ---------------------------------------------------------------------------
