@@ -21,6 +21,10 @@ from .errors import DomainError, TruncationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = -1e-9
+# a MaxLik reconstruction peaks at about 1.6 kB per density-matrix entry
+# (0.41 GB at this cap of 501 x 501 entries), the largest per-cutoff
+# allocation here; larger cutoffs are refused before anything allocates
+MAX_CUTOFF = 500
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -36,8 +40,9 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise DomainError(f"cutoff n_max must be >= 2, got {self.n_max}")
+        if not 2 <= self.n_max <= MAX_CUTOFF:
+            raise DomainError(
+                f"cutoff n_max must lie in [2, {MAX_CUTOFF}], got {self.n_max}")
 
     @property
     def dimension(self) -> int:
@@ -380,46 +385,32 @@ def wigner_grid(rho: DensityOperator, xs: np.ndarray, ps: np.ndarray) -> np.ndar
     return wigner(rho, X, P)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh((mat + mat.conj().T) / 2)
-    lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.conj().T
+def _psd_factor(rho: DensityOperator) -> np.ndarray:
+    """A with rho = A A^dag from one eigh of rho's Hermitian part.
 
-
-def _pure_component(rho: DensityOperator) -> np.ndarray | None:
-    """Dominant eigenvector when rho is pure within tolerance, else None."""
-    if purity(rho) < 1.0 - 1e-10:
-        return None
-    lam, vec = np.linalg.eigh(rho.matrix)
-    return vec[:, -1]
+    Eigenvalues at or below numpy's matrix_rank tolerance, d * eps *
+    lambda_max, are round-off and dropped: kept, a 1e-17 eigenvalue would
+    reach the fidelity through its square root, ~3e-9.
+    """
+    lam, vec = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
+    if lam[0] < POSITIVITY_TOL:
+        raise DomainError(f"fidelity input has negative eigenvalue {lam[0]:.3e}")
+    keep = lam > rho.dimension * np.finfo(float).eps * lam[-1]
+    return vec[:, keep] * np.sqrt(lam[keep])
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
-    When either argument is pure the expression collapses to the exact
-    overlap <psi|other|psi>, which is used directly (cheaper and free of
-    matrix square-root noise).
+    With rho = A A^dag and sigma = B B^dag, Tr sqrt(sqrt(rho) sigma
+    sqrt(rho)) is the sum of the singular values of A^dag B, so
+    F = (sum of singular values of A^dag B)^2. A pure argument is a
+    rank-1 factor, and no matrix square root is taken.
     """
     if rho.cutoff != sigma.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
-    for op in (rho, sigma):
-        lam_min = float(np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2).min())
-        if lam_min < POSITIVITY_TOL:
-            raise DomainError(f"fidelity input has negative eigenvalue {lam_min:.3e}")
-
-    psi = _pure_component(sigma)
-    other = rho
-    if psi is None:
-        psi = _pure_component(rho)
-        other = sigma
-    if psi is not None:
-        return float(np.real(psi.conj() @ other.matrix @ psi))
-
-    sq = _psd_sqrt(rho.matrix)
-    inner = sq @ sigma.matrix @ sq
-    lam = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    return float(np.sum(np.sqrt(lam)) ** 2)
+    overlap = _psd_factor(rho).conj().T @ _psd_factor(sigma)
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
 
 
 def fidelity_to_pure(rho: DensityOperator, psi: StateVector) -> float:

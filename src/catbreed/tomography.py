@@ -202,8 +202,11 @@ def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
     """
     rows, cols, _ = _upper_triangle(dimension)
     edges = _bin_edges()
+    # uncached: this function caches all bins at once, and 202 single-bin
+    # entries would only evict the acceptance windows that breed reuses
+    integral = _window_matrix.__wrapped__
     windows = np.stack([
-        _smear_povm(_window_matrix(dimension, float(lo), float(hi)),
+        _smear_povm(integral(dimension, float(lo), float(hi)),
                     eta_total).real[rows, cols]
         for lo, hi in zip(edges[:-1], edges[1:])
     ])
@@ -629,7 +632,7 @@ def read_density_csv(path) -> DensityOperator:
         raise ConfigError(
             f"{path}: expected {d} rows x {2 * d} columns, got {body.shape}")
     mat = body[:, 0::2] + 1j * body[:, 1::2]
-    return DensityOperator(mat, FockCutoff(d - 1))
+    return DensityOperator(mat, FockCutoff(d - 1)).validate()
 
 
 def write_meta(path, entries: dict) -> None:

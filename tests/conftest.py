@@ -1,7 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from catbreed import DensityOperator, FockCutoff
+
+# Hypothesis caches the constants it reads from local source files when it
+# collects tests, even with no example database; keep that cache out of the
+# checkout, so that the tests write no .hypothesis/ directory
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "catbreed-hypothesis")
 
 
 @pytest.fixture
@@ -9,9 +18,12 @@ def cutoff20():
     return FockCutoff(20)
 
 
-def random_density(rng: np.random.Generator, dimension: int) -> DensityOperator:
-    """Full-rank random density operator (Wishart construction)."""
-    a = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+def random_density(rng: np.random.Generator, dimension: int,
+                   rank: int | None = None) -> DensityOperator:
+    """Random density operator of the given rank, full rank by default
+    (Wishart construction)."""
+    shape = (dimension, dimension if rank is None else rank)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     mat = a @ a.conj().T
     mat /= np.real(np.trace(mat))
     return DensityOperator(mat, FockCutoff(dimension - 1))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import catbreed
-from catbreed import (EVENT_KINDS, FockCutoff, ProtocolConfig, TargetCatSpec,
-                      fock_state, pipeline_states, read_density_csv, read_meta,
-                      target_cat, wigner_grid, write_density_csv)
+from catbreed import (EVENT_KINDS, DensityOperator, FockCutoff, ProtocolConfig,
+                      TargetCatSpec, fock_state, pipeline_states,
+                      read_density_csv, read_meta, target_cat, wigner_grid,
+                      write_density_csv)
 import catbreed.cli as cli
 from catbreed.cli import OUTPUT_ROOT_ENV, main
 from conftest import random_density
@@ -504,12 +505,24 @@ def tiny_tomography(tmp_path, out) -> list:
                                   "zero_phases", "negative_phases",
                                   "infinite_phase", "nan_phase",
                                   "infinite_grid", "huge_duration",
-                                  "infinite_f_rep", "nan_f_herald"])
+                                  "infinite_f_rep", "nan_f_herald",
+                                  "wigner_trace_two", "wigner_negative",
+                                  "sample_trace_two", "sample_negative",
+                                  "huge_cutoff",
+                                  "huge_reconstruction_cutoff"])
 def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
     # every command validates the protocol settings, and a command that
     # fails part-way leaves not even its output directory behind
     state_path = tmp_path / "vacuum.csv"
     write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
+    # state files that are not density matrices: trace 2, and an
+    # eigenvalue of -0.4
+    bad_states = {}
+    for name, diagonal in [("trace_two", [2.0, 0, 0, 0, 0]),
+                           ("negative", [1.4, -0.4, 0, 0, 0])]:
+        bad_states[name] = tmp_path / f"{name}.csv"
+        write_density_csv(DensityOperator(np.diag(diagonal), FockCutoff(4)),
+                          bad_states[name])
     out = tmp_path / "run"
     tomography = tiny_tomography(tmp_path, out)
     huge_grid = "--grid=-4:4:100000"
@@ -563,6 +576,22 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
                            "--duration-s", "0.01", "--f-rep", "inf"],
         "nan_f_herald": ["simulate", "--output-dir", str(out),
                          "--duration-s", "0.01", "--f-herald", "nan"],
+        "wigner_trace_two": ["wigner", "--output-dir", str(out),
+                             "--state-file", str(bad_states["trace_two"])],
+        "wigner_negative": ["wigner", "--output-dir", str(out),
+                            "--state-file", str(bad_states["negative"])],
+        "sample_trace_two": ["sample", "--output-dir", str(out),
+                             "--state-file", str(bad_states["trace_two"]),
+                             "--count", "40"],
+        "sample_negative": ["sample", "--output-dir", str(out),
+                            "--state-file", str(bad_states["negative"]),
+                            "--count", "40"],
+        # a 10^6 cutoff would need terabytes for one dense state; the
+        # cutoff cap refuses it before anything of that size is allocated
+        "huge_cutoff": ["breed", "--output-dir", str(out),
+                        "--cutoff", "1000000"],
+        "huge_reconstruction_cutoff": tomography + [
+            "--reconstruction-cutoff", "1000000"],
     }[case]
     code, _, err = run_cli(argv, capsys)
     assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_hermite, gammaln
@@ -350,10 +352,21 @@ def test_wigner_origin_encodes_parity():
 # ---------------------------------------------------------------------------
 # fidelity
 
-def test_fidelity_of_state_with_itself():
-    rng = np.random.default_rng(5)
-    rho = random_density(rng, 8)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+# dimension 3..13, a rank 1..d for each of two states, and a numpy seed;
+# derandomized and with no example database, so every run draws the same
+# cases
+FIDELITY_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+DIMENSION_AND_RANKS = st.integers(3, 13).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d), st.integers(1, d)))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@FIDELITY_PROPERTY
+@given(DIMENSION_AND_RANKS, SEEDS)
+def test_fidelity_of_state_with_itself(shape, seed):
+    d, rank, _ = shape
+    rho = random_density(np.random.default_rng(seed), d, rank)
+    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_fidelity_orthogonal_states():
@@ -370,20 +383,53 @@ def test_fidelity_diagonal_overlap():
     assert fidelity(mixed, one) == pytest.approx(0.87, abs=1e-12)
 
 
-def test_fidelity_symmetric_for_mixed_pairs():
-    rng = np.random.default_rng(6)
+@FIDELITY_PROPERTY
+@given(DIMENSION_AND_RANKS, SEEDS)
+def test_fidelity_symmetric_for_mixed_pairs(shape, seed):
+    d, rank_a, rank_b = shape
+    rng = np.random.default_rng(seed)
+    a = random_density(rng, d, rank_a)
+    b = random_density(rng, d, rank_b)
+    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
+
+
+@FIDELITY_PROPERTY
+@given(DIMENSION_AND_RANKS, SEEDS)
+def test_fidelity_pure_path_consistency(shape, seed):
+    d, rank, _ = shape
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d, rank)
+    psi = StateVector(random_pure(rng, d), FockCutoff(d - 1))
+    expected = fidelity_to_pure(rho, psi)
+    assert fidelity(rho, psi.to_density()) == pytest.approx(expected, abs=1e-14)
+    assert fidelity(psi.to_density(), rho) == pytest.approx(expected, abs=1e-14)
+
+
+def test_fidelity_ignores_round_off_in_rank_deficient_states():
+    # the shape of criterion 7's pair: a rank-3 true state with exact zeros
+    # outside its support, against a nearby estimate of rank 4 whose other
+    # eigenvalues are round-off (about +-1e-17). A Hermitian change of the
+    # true state with entries below 1e-16 must not reach F through the
+    # square roots of round-off eigenvalues (about 1e-8 if they were kept).
+    rng = np.random.default_rng(9)
+    d = 13
+    cut = FockCutoff(d - 1)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    t = np.zeros((d, 3), dtype=complex)
+    t[:6] = gaussian(6, 3)
+    e = np.concatenate([t, np.zeros((d, 1))], axis=1) + 0.1 * gaussian(d, 4)
+    truth, estimate = (DensityOperator(m / np.trace(m).real, cut)
+                       for m in (t @ t.conj().T, e @ e.conj().T))
+    f = fidelity(estimate, truth)
     for _ in range(5):
-        a = random_density(rng, 7)
-        b = random_density(rng, 7)
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
-
-
-def test_fidelity_pure_path_consistency():
-    rng = np.random.default_rng(7)
-    rho = random_density(rng, 6)
-    psi = StateVector(random_pure(rng, 6), FockCutoff(5))
-    assert fidelity(rho, psi.to_density()) == pytest.approx(
-        fidelity_to_pure(rho, psi), abs=1e-10)
+        # real and imaginary parts within +-0.5e-16: entries below 1e-16
+        h = 0.5e-16 * (rng.uniform(-1, 1, (d, d))
+                       + 1j * rng.uniform(-1, 1, (d, d)))
+        nudged = DensityOperator(truth.matrix + (h + h.conj().T) / 2, cut)
+        assert abs(fidelity(estimate, nudged) - f) < 1e-13
 
 
 def test_fidelity_rejects_mismatched_cutoffs():
