@@ -47,8 +47,8 @@ from .tomography import (MIN_RESAMPLES, _write_csv, bootstrap_many,
 
 OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
-# a Wigner grid peaks at about 145 bytes per point (0.6 GB at this cap of
-# 2001 x 2001 points); larger grids are refused before they allocate
+# a Wigner run peaks at about 48 bytes per point, in its CSV writer (0.19 GB
+# at this cap of 2001 x 2001 points); larger grids are refused before they allocate
 MAX_GRID_POINTS = 2001
 CORRECTION_STAGES = ("none", "storage", "detection", "both")
 

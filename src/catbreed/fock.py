@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -328,61 +329,81 @@ def quadrature_wavefunction(n: int, x) -> np.ndarray | float:
     return float(val) if np.isscalar(x) else val
 
 
+def _beam_splitter_blocks(dimension: int, theta: float, phase: float):
+    """exp(-i theta G) of G = e^{i phase} a^dag b + h.c., block diagonal
+    over the total-photon sectors since G conserves the photon number.
+    Yields (flat two-mode indices, block) for total = 0 .. 2 (dimension - 1),
+    each sector built only when it is asked for."""
+    d = dimension
+    for total in range(2 * d - 1):
+        ks = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)   # n_a values
+        # <k+1, t-k-1| a^dag b |k, t-k> = sqrt((k+1)(t-k))
+        amp = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        gen = np.diag(np.exp(1j * phase) * amp, -1) + np.diag(np.exp(-1j * phase) * amp, 1)
+        yield ks * d + (total - ks), _exp_minus_i(theta * gen)
+
+
+def _wigner_sectors(support: int):
+    """For N = 0 .. 2 support - 2, yield (lo, the columns lo .. min(N,
+    support - 1) of sector N / sqrt(pi)): what _wigner_coefficients reads of
+    the balanced beam splitter at phase pi/2 and dimension 2 support - 1,
+    where no sector is truncated and each is real to round-off. support^3
+    doubles in all."""
+    K = 2 * support - 1
+    for N, (_, block) in zip(range(K), _beam_splitter_blocks(K, np.pi / 4, np.pi / 2)):
+        lo = max(0, N - support + 1)
+        yield lo, block.real[:, lo:min(N, support - 1) + 1] / np.sqrt(np.pi)
+
+
+# the 4 most recent supports up to 130 keep their sectors (<= 4 x 17.6 MB);
+# larger ones rebuild them on every call, holding one sector at a time
+_WIGNER_CACHED_SUPPORT = 130
+_cached_wigner_sectors = lru_cache(maxsize=4)(lambda M: tuple(_wigner_sectors(M)))
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])   # (-i)^j at j mod 4, exact
+
+
+def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
+    """Real K x K D, K = 2 M - 1 at support M, with W(x, p) =
+    sum_kl D_kl psi_k(sqrt2 x) psi_l(sqrt2 p).
+
+    W = (1/pi) int dy <x-y|rho|x+y> e^{2ipy}. The 45-degree rotation (the
+    balanced beam splitter B) turns psi_m(x-y) psi_n(x+y) into a sum of
+    psi_k(sqrt2 x) psi_{N-k}(sqrt2 y), N = m + n, and psi_l has Fourier
+    transform i^l psi_l, so D_{k,N-k} = Re[(-i)^{N-k} (B^N rho_{N-n,n})_k] / sqrt(pi).
+    """
+    M = _support_dimension(rho.matrix)
+    D = np.zeros((2 * M - 1, 2 * M - 1))
+    cached = M <= _WIGNER_CACHED_SUPPORT
+    for N, (lo, block) in enumerate(_cached_wigner_sectors(M) if cached else _wigner_sectors(M)):
+        n, k = np.arange(lo, lo + block.shape[1]), np.arange(N + 1)
+        D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * (block @ rho.matrix[N - n, n])).real
+    return D
+
+
 def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:
-    """Wigner function of ``rho`` at phase-space points (x, p).
+    """Wigner function of ``rho`` at phase-space points (x, p), scalars or
+    arrays that broadcast together; W has their broadcast shape.
 
-    Normalized so that the integral over the plane is 1 and
-    |W| <= 1/pi. Evaluated through the Laguerre expansion of the
-    displaced-parity operator, summed superdiagonal-by-superdiagonal
-    with a Clenshaw recurrence (stable at cutoffs ~100). Rows and
-    columns past the photon-number support add only exact zeros to
-    that sum, so it runs on the support block and its cost follows the
-    support, not the cutoff.
-
-    Args:
-        rho: state to evaluate.
-        x, p: coordinates, scalars or equal-shape arrays.
-
-    Returns:
-        W(x, p) with the broadcast shape of the inputs.
+    Normalized so that the integral over the plane is 1 and |W| <= 1/pi.
+    Exact up to round-off in the separable form of ``_wigner_coefficients``,
+    which reads the photon-number support block alone: zero padding changes
+    no bit of W, and the cost follows the support, not the cutoff.
     """
     scalar = np.isscalar(x) and np.isscalar(p)
-    xv = np.asarray(x, dtype=float)
-    pv = np.asarray(p, dtype=float)
-    xv, pv = np.broadcast_arrays(xv, pv)
-
-    M = _support_dimension(rho.matrix)
-    A2 = np.sqrt(2.0) * (xv + 1j * pv)
-    B = np.abs(A2) ** 2
-    diag_scaled = rho.matrix[:M, :M] * (2.0 - np.eye(M))
-
-    def lag_clenshaw(L: int, xx: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # Clenshaw sum of sum_k c_k L_k^L(xx) over normalized Laguerre
-        # terms, for len(c) >= 2
-        k = len(c)
-        y0 = c[-2] * np.ones_like(xx)
-        y1 = c[-1] * np.ones_like(xx)
-        for i in range(3, len(c) + 1):
-            k -= 1
-            y0, y1 = (
-                c[-i] - y1 * np.sqrt((k - 1.0) * (L + k - 1.0) / ((L + k) * k)),
-                y0 - y1 * (L + 2.0 * k - 1 - xx) / np.sqrt((L + k) * k),
-            )
-        return y0 - y1 * (L + 1 - xx) / np.sqrt(L + 1.0)
-
-    # the outermost superdiagonal has one term, L_0 = 1
-    w = diag_scaled[0, M - 1] * np.ones_like(A2)
-    for L in range(M - 2, -1, -1):
-        w = lag_clenshaw(L, B, np.diag(diag_scaled, L)) + w * A2 / np.sqrt(L + 1.0)
-
-    W = np.real(w) * np.exp(-B / 2.0) / np.pi
+    xv, pv = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    D = _wigner_coefficients(rho)
+    psi_x, psi_p = (hermite_functions(len(D) - 1, np.sqrt(2.0) * v) for v in (xv, pv))
+    W = np.sum(psi_x * np.tensordot(D, psi_p, axes=1), axis=0)
     return float(W) if scalar else W
 
 
 def wigner_grid(rho: DensityOperator, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Wigner function on the outer grid xs x ps; shape (len(xs), len(ps))."""
-    X, P = np.meshgrid(np.asarray(xs, float), np.asarray(ps, float), indexing="ij")
-    return wigner(rho, X, P)
+    """``wigner`` on the outer grid xs x ps, shape (len(xs), len(ps)), as
+    two matrix products."""
+    D = _wigner_coefficients(rho)
+    psi_x, psi_p = (hermite_functions(len(D) - 1, np.sqrt(2.0) * np.ravel(v).astype(float))
+                    for v in (xs, ps))
+    return psi_x.T @ D @ psi_p
 
 
 def _psd_factor(rho: DensityOperator) -> np.ndarray:

@@ -17,8 +17,8 @@ from .errors import DomainError, HeraldImpossibleError
 from .fock import (
     DensityOperator,
     FockCutoff,
+    _beam_splitter_blocks,
     _check_density_matrix,
-    _exp_minus_i,
     _log_factorial,
     _phase_rotation,
     _support_dimension,
@@ -75,32 +75,6 @@ class HeraldOutcome:
 
     state: DensityOperator
     probability: float
-
-
-def _beam_splitter_blocks(dimension: int, theta: float, phase: float) -> list:
-    """exp(-i theta G) of G = e^{i phase} a^dag b + h.c. on each
-    total-photon sector.
-
-    G conserves the total photon number, so its exponential is block
-    diagonal over the sectors. Returns one (flat two-mode indices,
-    block) pair per sector, total = 0 .. 2 (dimension - 1).
-    """
-    d = dimension
-    blocks = []
-    for total in range(2 * d - 1):
-        k_lo = max(0, total - (d - 1))
-        k_hi = min(total, d - 1)
-        ks = np.arange(k_lo, k_hi + 1)          # n_a values in this sector
-        idx = ks * d + (total - ks)
-        m = len(ks)
-        gen = np.zeros((m, m), dtype=complex)
-        for i, k in enumerate(ks[:-1]):
-            # <k+1, t-k-1| a^dag b |k, t-k> = sqrt((k+1)(t-k))
-            amp = np.sqrt((k + 1.0) * (total - k))
-            gen[i + 1, i] = np.exp(1j * phase) * amp
-            gen[i, i + 1] = np.exp(-1j * phase) * amp
-        blocks.append((idx, _exp_minus_i(theta * gen)))
-    return blocks
 
 
 @lru_cache(maxsize=16)

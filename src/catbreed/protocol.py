@@ -55,6 +55,7 @@ _LINE_TEMPLATES = tuple(
     % (kind, f', "reason": "{reason}"' if reason else "",
        ', "trips": {1}' if trips else "")
     for kind, reason, trips in EVENT_RECORDS)
+_EVENT_LOG_CHUNK = 8192   # rows that write_event_log formats at a time
 
 
 def per_trip_transmission_from_total(total_loss: float, n_trips: int) -> float:
@@ -335,12 +336,15 @@ def write_curve_csv(rows: Sequence[CurveRow], path) -> None:
 
 
 def write_event_log(events: TimelineEvents, path) -> None:
-    """Line-delimited structured records, one JSON object per event."""
-    rows = zip(events.pulse_index.tolist(), events.record.tolist(),
-               events.trips.tolist())
+    """Line-delimited structured records, one JSON object per event,
+    formatted _EVENT_LOG_CHUNK rows at a time so that memory does not grow
+    with the log."""
     with open(path, "w") as fh:
-        fh.writelines(_LINE_TEMPLATES[code].format(pulse, trips)
-                      for pulse, code, trips in rows)
+        for i in range(0, len(events), _EVENT_LOG_CHUNK):
+            rows = zip(*(col[i:i + _EVENT_LOG_CHUNK].tolist()
+                         for col in (events.pulse_index, events.record, events.trips)))
+            fh.writelines(_LINE_TEMPLATES[code].format(pulse, trips)
+                          for pulse, code, trips in rows)
 
 
 # a simulate run peaks at about 200 bytes per herald (351 MB for 1.55 M),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
                       parity_expectation, purity, quadrature_wavefunction,
                       squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
                       wigner_grid)
-from catbreed.fock import _log_factorial
+from catbreed.fock import (_WIGNER_CACHED_SUPPORT, _cached_wigner_sectors,
+                           _log_factorial, _support_dimension)
 from conftest import random_density, random_pure
 
 
@@ -347,6 +350,128 @@ def test_wigner_origin_encodes_parity():
         rho = random_density(rng, 8)
         assert np.pi * wigner(rho, 0.0, 0.0) == pytest.approx(
             parity_expectation(rho), abs=1e-8)
+
+
+def reference_wigner(rho: DensityOperator, x, p) -> np.ndarray:
+    """Oracle: the Laguerre expansion of the displaced-parity operator that
+    the separable form replaced, summed superdiagonal by superdiagonal
+    with a Clenshaw recurrence, unchanged. Equal-shape x and p."""
+    M = _support_dimension(rho.matrix)
+    A2 = np.sqrt(2.0) * (np.asarray(x, float) + 1j * np.asarray(p, float))
+    B = np.abs(A2) ** 2
+    diag_scaled = rho.matrix[:M, :M] * (2.0 - np.eye(M))
+
+    def lag_clenshaw(L: int, xx: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # Clenshaw sum of sum_k c_k L_k^L(xx) over normalized Laguerre
+        # terms, for len(c) >= 2
+        k = len(c)
+        y0 = c[-2] * np.ones_like(xx)
+        y1 = c[-1] * np.ones_like(xx)
+        for i in range(3, len(c) + 1):
+            k -= 1
+            y0, y1 = (
+                c[-i] - y1 * np.sqrt((k - 1.0) * (L + k - 1.0) / ((L + k) * k)),
+                y0 - y1 * (L + 2.0 * k - 1 - xx) / np.sqrt((L + k) * k),
+            )
+        return y0 - y1 * (L + 1 - xx) / np.sqrt(L + 1.0)
+
+    # the outermost superdiagonal has one term, L_0 = 1
+    w = diag_scaled[0, M - 1] * np.ones_like(A2)
+    for L in range(M - 2, -1, -1):
+        w = lag_clenshaw(L, B, np.diag(diag_scaled, L)) + w * A2 / np.sqrt(L + 1.0)
+    return np.real(w) * np.exp(-B / 2.0) / np.pi
+
+
+def state_with_support(rng: np.random.Generator, support: int,
+                       rank: int) -> DensityOperator:
+    """Random rank-``rank`` state on |0> .. |support - 1>, in a basis of at
+    least the smallest cutoff."""
+    a = rng.normal(size=(support, rank)) + 1j * rng.normal(size=(support, rank))
+    dim = max(support, 3)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[:support, :support] = a @ a.conj().T
+    return DensityOperator(mat / np.real(np.trace(mat)), FockCutoff(dim - 1))
+
+
+# support 1..40 with a rank 1..support, and x and p axes of their own
+# lengths inside +-12; derandomized and with no example database, so every
+# run draws the same cases
+WIGNER_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+SUPPORT_AND_RANK = st.integers(1, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m)))
+AXIS = st.tuples(st.floats(-12, 12), st.floats(-12, 12), st.integers(1, 24))
+
+
+@WIGNER_PROPERTY
+@given(SUPPORT_AND_RANK, AXIS, AXIS, st.integers(0, 2 ** 32 - 1))
+def test_wigner_grid_matches_the_clenshaw_oracle(shape, x_axis, p_axis, seed):
+    rho = state_with_support(np.random.default_rng(seed), *shape)
+    xs, ps = np.linspace(*x_axis), np.linspace(*p_axis)
+    X, P = np.meshgrid(xs, ps, indexing="ij")
+    grid = wigner_grid(rho, xs, ps)
+    assert grid.shape == (len(xs), len(ps))
+    assert np.max(np.abs(grid - reference_wigner(rho, X, P))) <= 1e-13
+    # the pointwise form contracts the same coefficients
+    assert np.max(np.abs(wigner(rho, X, P) - grid)) <= 1e-15
+
+
+def test_wigner_scalar_zero_d_and_broadcast_calls():
+    rho = state_with_support(np.random.default_rng(5), 9, 4)
+    xs, ps = np.linspace(-3, 2, 6), np.linspace(-1, 4, 4)
+    grid = wigner_grid(rho, xs, ps)
+    value = wigner(rho, 0.3, -1.2)
+    assert type(value) is float
+    assert value == pytest.approx(float(reference_wigner(rho, 0.3, -1.2)), abs=1e-15)
+    # 0-d arrays give a numpy scalar, as numpy reductions do
+    zero_d = wigner(rho, np.array(0.3), np.array(-1.2))
+    assert np.shape(zero_d) == () and float(zero_d) == value
+    np.testing.assert_allclose(wigner(rho, xs[:, None], ps[None, :]), grid,
+                               rtol=0, atol=1e-15)
+    row = wigner(rho, xs[2], ps)
+    assert row.shape == ps.shape
+    np.testing.assert_allclose(row, grid[2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wigner(rho, xs, ps[1]), grid[:, 1], rtol=0, atol=1e-15)
+
+
+def test_wigner_origin_is_the_fock_parity_up_to_n_60():
+    # every third n: both parities and every quarter turn (-i)^j, j mod 4,
+    # at a fraction of the cost of 61 cold sector builds
+    for n in range(0, 61, 3):
+        rho = fock_state(n, FockCutoff(max(n, 2))).to_density()
+        assert np.pi * wigner(rho, 0.0, 0.0) == pytest.approx((-1) ** n, abs=1e-14)
+
+
+def test_wigner_sector_cache_stays_bounded():
+    top = _WIGNER_CACHED_SUPPORT
+    assert top == 130
+    _cached_wigner_sectors.cache_clear()
+    xs = np.linspace(-2, 2, 5)
+    # a cold call at the largest cached support keeps its sectors:
+    # support^3 doubles (17.6 MB) plus small tuple and array headers
+    tracemalloc.start()
+    try:
+        wigner_grid(fock_state(top - 1, FockCutoff(top - 1)).to_density(), xs, xs)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * top ** 3 <= retained <= 8 * top ** 3 + 100_000
+    assert peak < 2 * 8 * top ** 3
+    assert _cached_wigner_sectors.cache_info().currsize == 1
+    # one support more and the sectors are rebuilt per call, none kept
+    tracemalloc.start()
+    try:
+        wigner_grid(fock_state(top, FockCutoff(top)).to_density(), xs, xs)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000
+    assert peak < 16_000_000
+    assert _cached_wigner_sectors.cache_info().currsize == 1
+    # many distinct supports keep only the most recent few
+    for support in range(1, 30):
+        wigner(state_with_support(np.random.default_rng(support), support, 1), 0.0, 0.0)
+    info = _cached_wigner_sectors.cache_info()
+    assert info.currsize == info.maxsize == 4
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_double_pass_is_phased_swap_on_complete_sectors():
 @pytest.mark.parametrize("d", [3, 21, 41, 81])
 @pytest.mark.parametrize("theta,phase", [(np.pi / 4, 0.0), (0.3, 1.1)])
 def test_beam_splitter_blocks_match_scipy_expm(d, theta, phase):
-    blocks = _beam_splitter_blocks(d, theta, phase)
+    blocks = list(_beam_splitter_blocks(d, theta, phase))
     # the sectors partition the two-mode basis
     flat = np.sort(np.concatenate([idx for idx, _ in blocks]))
     assert np.array_equal(flat, np.arange(d * d))

@@ -8,7 +8,7 @@ import pytest
 from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                       CurveRow, DomainError, EVENT_KINDS,
                       EVENT_RECORDS, ProtocolConfig, RunStatistics,
-                      TargetCatSpec, calibrate_beta_elec,
+                      TargetCatSpec, TimelineEvents, calibrate_beta_elec,
                       fidelity_to_pure, fidelity_vs_storage_curve, fock_state,
                       generation_rate, per_trip_transmission_from_total,
                       pipeline_states, simulate_timeline, storage_evolve,
@@ -552,6 +552,50 @@ def test_timeline_event_log_is_parseable(tmp_path):
         record = json.loads(line)
         assert record["kind"] == kinds[i]
         assert record["pulse_index"] == events.pulse_index[i]
+
+
+def synthetic_events(n_rows: int) -> TimelineEvents:
+    """A well-formed event table of any length: every record code in turn,
+    pulse indices of the size a long run reaches, trips where carried."""
+    rows = np.arange(n_rows, dtype=np.int64)
+    record = rows % len(EVENT_RECORDS)
+    carries = np.array([trips for _, _, trips in EVENT_RECORDS])[record]
+    return TimelineEvents(pulse_index=37_000_000 + 97 * rows, record=record,
+                          trips=np.where(carries, 1 + rows % 15, 0))
+
+
+def test_event_log_chunks_match_the_per_row_oracle(tmp_path):
+    # 20000 rows cross two chunk boundaries and end inside a chunk
+    events = synthetic_events(20_000)
+    path = tmp_path / "events.jsonl"
+    write_event_log(events, path)
+    expected = []
+    for pulse, code, trips in zip(events.pulse_index.tolist(),
+                                  events.record.tolist(), events.trips.tolist()):
+        kind, reason, carries = EVENT_RECORDS[code]
+        record = {"kind": kind, "pulse_index": pulse}
+        if reason:
+            record["reason"] = reason
+        if carries:
+            record["trips"] = trips
+        expected.append(json.dumps(record, sort_keys=True) + "\n")
+    assert path.read_text() == "".join(expected)
+
+
+def test_event_log_memory_does_not_grow_with_the_log(tmp_path):
+    peaks = {}
+    for n_rows in (34_000, 340_000):
+        events = synthetic_events(n_rows)
+        tracemalloc.start()
+        try:
+            write_event_log(events, tmp_path / f"{n_rows}.jsonl")
+            peaks[n_rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one 8192-row chunk of Python ints and strings at a time; all
+    # formatting all 340 000 rows at once peaks at about 19 MB
+    assert peaks[340_000] < 3_000_000
+    assert peaks[340_000] < 1.2 * peaks[34_000]
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.7])
