@@ -47,8 +47,8 @@ from .tomography import (MIN_RESAMPLES, _write_csv, bootstrap_many,
 
 OUTPUT_ROOT_ENV = "CATBREED_OUTPUT_ROOT"
 DEFAULT_GRID = "-4:4:161"
-# a Wigner run peaks at about 48 bytes per point, in its CSV writer (0.19 GB
-# at this cap of 2001 x 2001 points); larger grids are refused before they allocate
+# a Wigner run peaks at about 8.4 bytes per point: the grid, plus one x value's
+# CSV rows (34 MB at this 2001 x 2001 cap); larger grids are refused before they allocate
 MAX_GRID_POINTS = 2001
 CORRECTION_STAGES = ("none", "storage", "detection", "both")
 
@@ -246,6 +246,12 @@ def cmd_curve(args, config: ProtocolConfig, settings: dict) -> dict:
     return {"curve.csv": lambda p: write_curve_csv(rows, p)}
 
 
+def _write_wigner_csv(path, axis: np.ndarray, grid: np.ndarray) -> None:
+    """x, p, w rows, one x value at a time: the whole table is three grids."""
+    _write_csv(path, "x,p,w", (np.column_stack([np.full_like(axis, x), axis, row])
+                               for x, row in zip(axis, grid)))
+
+
 def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
     corrections = [tok.strip() for tok in args.corrections.split(",") if tok.strip()]
     if not corrections:
@@ -272,13 +278,7 @@ def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
     for tok in corrections:
         grid = wigner_grid(stage_states[tok], axis, axis)
 
-        def writer(path, grid=grid):
-            # built per file: the (x, p, w) table is three times the grid
-            xs, ps = np.meshgrid(axis, axis, indexing="ij")
-            _write_csv(path, "x,p,w",
-                       np.column_stack([xs.ravel(), ps.ravel(), grid.ravel()]))
-
-        files[f"wigner_{tok}.csv"] = writer
+        files[f"wigner_{tok}.csv"] = lambda path, grid=grid: _write_wigner_csv(path, axis, grid)
         print(f"wigner_min[{tok}] = {grid.min():.6f}")
         print(f"wigner_max[{tok}] = {grid.max():.6f}")
     return files

@@ -213,7 +213,9 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
 
 
 def squeeze_db_to_r(s_db: float) -> float:
-    """dB-of-variance to squeeze parameter r (positive r squeezes x)."""
+    """dB-of-variance to squeeze parameter r (positive r squeezes x), |s_db| <= 20."""
+    if abs(s_db) > 20:
+        raise DomainError(f"|s_db| must be <= 20 to stay within truncation, got {s_db}")
     return float(np.log(10.0 ** (s_db / 20.0)))
 
 
@@ -232,8 +234,6 @@ def squeeze_matrix(s_db: float, cutoff: FockCutoff) -> np.ndarray:
     Returns:
         dimension x dimension complex unitary matrix.
     """
-    if abs(s_db) > 20:
-        raise DomainError(f"|s_db| must be <= 20 to stay within truncation, got {s_db}")
     r = squeeze_db_to_r(s_db)
     a = annihilation_matrix(cutoff.dimension)
     S = _exp_minus_i(1j * (r / 2.0) * (a @ a - a.conj().T @ a.conj().T))
@@ -258,40 +258,34 @@ class TargetCatSpec:
 # The breeding protocol produces its cat fringes along the momentum
 # quadrature; the constructed target is rotated into that frame with the
 # number-operator quarter-turn i^n so fidelities compare like with like.
-_CAT_WORK_DIMENSION = 80
-
-
 def target_cat(spec: TargetCatSpec, cutoff: FockCutoff) -> StateVector:
-    """Squeezed even-cat target state in the frame of the bred states.
+    """Squeezed even cat S(r)(|alpha> + |-alpha>)/N in the frame of the bred
+    states, exact at every cutoff.
 
-    Built at an internal working dimension then truncated and
-    renormalized, so the squeeze operator never acts near the caller's
-    cutoff edge.
+    S a S^dag = a cosh r + a^dag sinh r has eigenvalue alpha on S|alpha> (Yuen,
+    Phys. Rev. A 13, 2226, 1976), so its amplitudes c_n obey the recurrence
+    c_{n+1} = (alpha c_n - sinh r sqrt(n) c_{n-1}) / (cosh r sqrt(n + 1)). The
+    cat is 2 c_n / N on even n and 0 on odd n, with N^2 = 2 + 2 exp(-2 alpha^2)
+    exactly, so ``truncation_deficit`` is the true probability above the cutoff.
+    A cat with no representable weight below the cutoff is a TruncationError.
     """
     if cutoff.n_max < 20:
         raise DomainError(f"target_cat needs cutoff >= 20, got {cutoff.n_max}")
-    dim_work = max(_CAT_WORK_DIMENSION, cutoff.dimension)
-    work = FockCutoff(dim_work - 1)
-    n = np.arange(dim_work)
-
-    if spec.amplitude == 0:
-        even = np.zeros(dim_work, dtype=complex)
-        even[0] = 1.0
-    else:
-        # assemble the even cat from even Fock terms only: exact parity
-        log_amp = (-spec.amplitude ** 2 / 2 + n * np.log(spec.amplitude)
-                   - 0.5 * _log_factorial(dim_work))
-        even = np.where(n % 2 == 0, np.exp(log_amp), 0.0).astype(complex)
-        even /= np.linalg.norm(even)
-
-    psi = squeeze_matrix(spec.squeezing_db, work) @ even
-    psi = (1j ** n) * psi
-    captured = float(np.sum(np.abs(psi[:cutoff.dimension]) ** 2))
-    deficit = max(0.0, 1.0 - captured)
-    amps = psi[:cutoff.dimension] / np.sqrt(captured)
-    # squeezing and the i^n rotation both preserve parity
-    amps[1::2] = 0.0
-    return StateVector(amps, cutoff, truncation_deficit=deficit)
+    alpha, r = spec.amplitude, squeeze_db_to_r(spec.squeezing_db)
+    ch, sh = math.cosh(r), math.sinh(r)
+    c = np.empty(cutoff.dimension)
+    c[0] = math.exp(-alpha ** 2 * (1.0 - math.tanh(r)) / 2.0) / math.sqrt(ch)
+    c[1] = alpha * c[0] / ch
+    for n in range(1, cutoff.n_max):
+        c[n + 1] = (alpha * c[n] - sh * math.sqrt(n) * c[n - 1]) / (ch * math.sqrt(n + 1.0))
+    c[1::2] = 0.0
+    c[2::4] *= -1.0   # i^n is (-1)^(n/2) on even n
+    psi = 2.0 * c / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * alpha ** 2))
+    captured = float(psi @ psi)
+    if not captured >= np.finfo(float).tiny:   # 0, or subnormal and too coarse to renormalize
+        raise TruncationError(f"target cat {spec} has no weight below cutoff {cutoff.n_max}", 1.0)
+    return StateVector(psi / math.sqrt(captured), cutoff,
+                       truncation_deficit=max(0.0, 1.0 - captured))
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -309,7 +303,9 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     Returns:
         Array of shape (n_max + 1,) + x.shape.
     """
-    x = np.asarray(x, dtype=float)
+    # psi_0 is exactly 0 beyond |x| ~ 38.6, so the clamp changes no value; it
+    # keeps x * x from overflowing (|x| > 1e154) and inf * 0 from making NaN
+    x = np.clip(np.asarray(x, dtype=float), -40.0, 40.0)
     psi = np.zeros((n_max + 1,) + x.shape)
     psi[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
     if n_max >= 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fock import (DensityOperator, FockCutoff, _phase_rotation,
-                   hermite_functions)
+                   _support_dimension, hermite_functions)
 from .optics import QUADRATURE_SUPPORT, _smear_povm, _window_matrix
 
 GRID_SPAN = QUADRATURE_SUPPORT     # sampling grid covers [-12, 12]
@@ -68,16 +68,15 @@ class HomodyneDataset:
 def marginal_pdf(rho: DensityOperator, theta: float):
     """Quadrature distribution pr(x | theta) as a vectorized callable.
 
-    pr(x|theta) = sum_mn rho_mn e^{i(n-m)theta} psi_m(x) psi_n(x).
+    pr(x|theta) = sum_mn Re[rho_mn e^{i(n-m)theta}] psi_m(x) psi_n(x), m, n < support.
     """
-    rotated = rho.matrix * _phase_rotation(theta, rho.dimension)
+    M = _support_dimension(rho.matrix)
+    rotated = (rho.matrix[:M, :M] * _phase_rotation(theta, M)).real.T
 
     def pdf(x):
-        scalar = np.isscalar(x)
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        psi = hermite_functions(rho.dimension - 1, arr)
-        vals = np.real(np.einsum("mx,mn,nx->x", psi, rotated, psi))
-        return float(vals[0]) if scalar else vals
+        psi = hermite_functions(M - 1, np.asarray(x, dtype=float))
+        vals = np.sum(psi * np.tensordot(rotated, psi, axes=1), axis=0)
+        return float(vals) if np.isscalar(x) else vals
 
     return pdf
 
@@ -574,10 +573,15 @@ def bootstrap(data: HomodyneDataset, n_resamples: int, statistic,
 DATASET_HEADER = "theta,x"
 
 
-def _write_csv(path, header: str, table: np.ndarray, fmt="%.12g") -> None:
-    """Write ``table`` row by row under ``header``; ``fmt`` is one format
-    for every column or a list of one per column."""
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+def _write_csv(path, header: str, table, fmt="%.12g") -> None:
+    """Write ``table``, a 2-D array or an iterable of them (so that a large
+    table need never exist whole), row by row under ``header``; ``fmt`` is
+    one format for every column or a list of one per column."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for block in [table] if isinstance(table, np.ndarray) else table:
+            line = ",".join([fmt] * block.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+            fh.writelines(line % tuple(row) for row in block.tolist())
 
 
 def _read_csv(path, what: str) -> tuple[list, np.ndarray]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,35 @@ def test_wigner_csv_matches_the_per_cell_oracle(tmp_path, capsys):
     reference_wigner_csv(axis, grid, tmp_path / "reference.csv")
     assert ((out / "wigner_none.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_wigner_csv_writer_holds_one_row_of_the_cap_at_a_time(tmp_path):
+    # the writer formats one x value's rows at a time, so its peak stays
+    # that of a 2001 x 3 block whatever the number of rows (the whole
+    # table of a 2001 x 2001 grid would be 96 MB)
+    axis = np.linspace(-4.0, 4.0, cli.MAX_GRID_POINTS)
+    grid = np.random.default_rng(3).normal(size=(16, len(axis)))
+    peaks = {}
+    for rows in (2, 16):
+        tracemalloc.start()
+        cli._write_wigner_csv(tmp_path / f"rows_{rows}.csv", axis, grid[:rows])
+        peaks[rows] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[16] < 1.2 * peaks[2]
+    assert peaks[16] < 1e6
+    assert (tmp_path / "rows_16.csv").read_text().count("\n") == 1 + 16 * len(axis)
+
+
+def test_wigner_far_grid_is_zero_without_warnings(tmp_path, capsys):
+    # squaring 1e160 overflows; the wavefunctions are 0 there
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["wigner", "--output-dir", str(out), "--pipeline",
+         "--grid=-1e160:1e160:3"], capsys)
+    assert (code, err) == (0, "")
+    grid = read_wigner_csv(out / "wigner_none.csv")
+    assert grid[1, 1] > 0.0
+    assert np.count_nonzero(grid) == 1
 
 
 def test_wigner_pipeline_stage_map(tmp_path, capsys):

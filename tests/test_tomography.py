@@ -11,6 +11,7 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       DensityOperator, DomainError, FockCutoff,
                       HomodyneDataset, beam_splitter, bootstrap,
                       bootstrap_many, breed, fidelity, fock_state,
+                      hermite_functions,
                       load_dataset_csv, loss_channel,
                       marginal_pdf, maxlik_reconstruct, pad_density_operator,
                       partial_trace, quadrature_wavefunction, read_density_csv,
@@ -75,6 +76,20 @@ def test_marginal_pdf_single_photon_law():
     xs = np.linspace(-3, 3, 13)
     expected = 2.0 * xs ** 2 * np.exp(-xs ** 2) / np.sqrt(np.pi)
     np.testing.assert_allclose(marginal_pdf(one, 0.0)(xs), expected, atol=1e-12)
+
+
+def test_marginal_pdf_matches_the_full_basis_sum():
+    # the three-operand sum over the whole basis that the support-block
+    # product replaced
+    rho = pad_density_operator(random_density(np.random.default_rng(81), 7),
+                               FockCutoff(30))
+    xs = np.linspace(-7, 7, 57)
+    psi = hermite_functions(30, xs)
+    for theta in (0.0, 0.7, 2.6):
+        rotated = rho.matrix * _phase_rotation(theta, rho.dimension)
+        reference = np.real(np.einsum("mx,mn,nx->x", psi, rotated, psi))
+        np.testing.assert_allclose(marginal_pdf(rho, theta)(xs), reference,
+                                   rtol=0, atol=1e-15)
 
 
 def test_marginal_window_mass_matches_conditioning_probability():
