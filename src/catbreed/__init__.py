@@ -18,10 +18,9 @@ from .fock import (DensityOperator, FockCutoff, StateVector, TargetCatSpec,
                    parity_expectation, purity, quadrature_wavefunction,
                    squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
                    wigner_grid)
-from .optics import (QUADRATURE_SUPPORT, AcceptanceWindow, HeraldOutcome,
-                     TwoModeState, beam_splitter, breed, condition,
-                     homodyne_povm, loss_channel, partial_trace,
-                     single_photon_state)
+from .optics import (AcceptanceWindow, HeraldOutcome, TwoModeState,
+                     beam_splitter, breed, condition, homodyne_povm,
+                     loss_channel, partial_trace, single_photon_state)
 from .protocol import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                        EVENT_KINDS, EVENT_RECORDS,
                        CurveRow, PipelineStates, ProtocolConfig,
@@ -50,9 +49,9 @@ __all__ = [
     "fidelity_to_pure", "pad_density_operator", "purity",
     "mean_photon_number", "parity_expectation",
     # two-mode optics and conditioning
-    "QUADRATURE_SUPPORT", "TwoModeState", "AcceptanceWindow", "HeraldOutcome",
-    "beam_splitter", "partial_trace", "loss_channel",
-    "homodyne_povm", "condition", "breed", "single_photon_state",
+    "TwoModeState", "AcceptanceWindow", "HeraldOutcome", "beam_splitter",
+    "partial_trace", "loss_channel", "homodyne_povm", "condition", "breed",
+    "single_photon_state",
     # protocol model
     "ProtocolConfig", "TimelineEvents", "RunStatistics", "PipelineStates",
     "CurveRow", "CURVE_CSV_HEADER", "DEFAULT_PER_TRIP_TRANSMISSION",

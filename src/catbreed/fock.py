@@ -192,6 +192,9 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
     Returns:
         Normalized StateVector; emits a warning and records the deficit
         when the truncated tail mass exceeds 1e-6.
+
+    Raises:
+        TruncationError: no representable weight below the cutoff.
     """
     n = np.arange(cutoff.dimension)
     # log-domain: alpha^n / sqrt(n!) overflows for |alpha|^2 ~ n_max otherwise
@@ -201,6 +204,8 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
     phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones_like(n, dtype=complex)
     amps = np.exp(log_amp) * phase
     captured = float(np.sum(np.abs(amps) ** 2))
+    if not captured >= np.finfo(float).tiny:   # 0, or subnormal and too coarse to renormalize
+        raise TruncationError(f"coherent state has no weight below cutoff {cutoff.n_max}", 1.0)
     deficit = max(0.0, 1.0 - captured)
     if deficit > 1e-6:
         warnings.warn(
@@ -214,7 +219,7 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
 
 def squeeze_db_to_r(s_db: float) -> float:
     """dB-of-variance to squeeze parameter r (positive r squeezes x), |s_db| <= 20."""
-    if abs(s_db) > 20:
+    if not abs(s_db) <= 20:   # also refuses NaN
         raise DomainError(f"|s_db| must be <= 20 to stay within truncation, got {s_db}")
     return float(np.log(10.0 ** (s_db / 20.0)))
 
@@ -251,8 +256,8 @@ class TargetCatSpec:
     squeezing_db: float = 3.64
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise DomainError("cat amplitude must be >= 0")
+        if not 0 <= self.amplitude < np.inf:
+            raise DomainError(f"cat amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 # The breeding protocol produces its cat fringes along the momentum

@@ -8,6 +8,7 @@ n_a * dimension + n_b (mode a is the slow index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,10 +26,6 @@ from .fock import (
     hermite_functions,
     pad_density_operator,
 )
-
-# quadrature wavefunction products are numerically zero beyond |x| = 12
-# for every cutoff this package uses, so all windows clamp there
-QUADRATURE_SUPPORT = 12.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +59,7 @@ class AcceptanceWindow:
     phase: float = 0.0
 
     def __post_init__(self):
-        # +inf is a valid half-width: the window clamps to the identity
+        # +inf is a valid half-width: the window is the identity
         if not self.half_width > 0:
             raise DomainError(f"window half-width must be > 0, got {self.half_width}")
         if not np.isfinite(self.phase):
@@ -175,23 +172,29 @@ def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
     return DensityOperator(out, rho.cutoff)
 
 
+def _window_antiderivative(dimension: int, x: float) -> np.ndarray:
+    """A(x) with dA_mn/dx = psi_m psi_n for m, n < dimension, in closed form.
+
+    From psi_n'' = (x^2 - 2n - 1) psi_n and psi_n' = x psi_n - sqrt(2(n+1)) psi_{n+1},
+    A_mn = (sqrt(2(m+1)) psi_{m+1} psi_n - sqrt(2(n+1)) psi_{n+1} psi_m) / (2(m - n))
+    off the diagonal, and A_00 = erf(x)/2, A_{n+1,n+1} = A_nn - psi_n psi_{n+1} / sqrt(2(n+1)).
+    Every psi_n is exactly 0 at +-inf, so A(inf) - A(-inf) is exactly the identity.
+    """
+    psi = hermite_functions(dimension, x)
+    n = np.arange(dimension)
+    raised = np.sqrt(2.0 * (n + 1)) * psi[1:]     # sqrt(2(n+1)) psi_{n+1}
+    gap = 2.0 * (n[:, None] - n) + np.eye(dimension)   # 1 on the diagonal
+    A = (raised[:, None] * psi[None, :-1] - psi[:-1, None] * raised[None, :]) / gap
+    steps = psi[:-2] * psi[1:-1] / np.sqrt(2.0 * (n[:-1] + 1))
+    A[n, n] = np.cumsum(np.concatenate([[math.erf(x) / 2.0], -steps]))
+    return A
+
+
 @lru_cache(maxsize=64)
 def _window_matrix(dimension: int, lo: float, hi: float) -> np.ndarray:
-    """Integrals Pi_mn = int_lo^hi psi_m(x) psi_n(x) dx at theta = 0.
-
-    Composite Gauss-Legendre: panels of width <= 0.25 with 24 nodes each
-    integrate the (polynomial x Gaussian) products to well below 1e-10
-    for every cutoff used here.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    panels = max(2, int(np.ceil((hi - lo) / 0.25)))
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (half[:, None] * nodes[None, :] + mid[:, None]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    psi = hermite_functions(dimension - 1, xs)
-    mat = (psi * ws) @ psi.T
+    """Exact integrals Pi_mn = int_lo^hi psi_m(x) psi_n(x) dx at theta = 0,
+    A(hi) - A(lo) from the closed-form antiderivative."""
+    mat = _window_antiderivative(dimension, hi) - _window_antiderivative(dimension, lo)
     mat.setflags(write=False)
     return mat
 
@@ -201,8 +204,8 @@ def _smear_povm(pi: np.ndarray, transmission: float) -> np.ndarray:
     if transmission == 1.0:
         return pi
     d = pi.shape[0]
-    b = _loss_amplitudes(transmission, d)
-    out = np.zeros_like(pi, dtype=complex)
+    b = _loss_amplitudes(transmission, d).real   # so a real Pi stays real
+    out = np.zeros_like(pi)
     for k in range(d):
         # A_k^dag Pi A_k: Pi[n, m] moves to [n+k, m+k], scaled by b[k, n+k] b[k, m+k]
         v = b[k, k:]
@@ -216,15 +219,13 @@ def homodyne_povm(window: AcceptanceWindow, cutoff: FockCutoff,
 
     Pi_mn = int_{-eps}^{eps} psi_m psi_n e^{i(n-m) theta} dx, smeared by
     the loss-channel adjoint when the detector efficiency is below 1.
-    Integration clamps to the numerical support of the wavefunctions so
-    arbitrarily wide windows reproduce the identity.
+    The integrals are exact at every cutoff (closed-form antiderivative),
+    so an infinitely wide window is exactly the identity.
     """
     if not 0.0 < detector_efficiency <= 1.0:
         raise DomainError(f"detector efficiency must lie in (0, 1], got {detector_efficiency}")
     eps = window.half_width
-    lo = max(-eps, -QUADRATURE_SUPPORT)
-    hi = min(eps, QUADRATURE_SUPPORT)
-    pi = np.array(_window_matrix(cutoff.dimension, lo, hi), dtype=complex)
+    pi = np.array(_window_matrix(cutoff.dimension, -eps, eps), dtype=complex)
     if detector_efficiency < 1.0:
         pi = _smear_povm(pi, detector_efficiency)
     if window.phase != 0.0:

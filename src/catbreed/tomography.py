@@ -22,9 +22,9 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fock import (DensityOperator, FockCutoff, _phase_rotation,
                    _support_dimension, hermite_functions)
-from .optics import QUADRATURE_SUPPORT, _smear_povm, _window_matrix
+from .optics import _smear_povm, _window_antiderivative
 
-GRID_SPAN = QUADRATURE_SUPPORT     # sampling grid covers [-12, 12]
+GRID_SPAN = 12.0        # the sampling grid and the MaxLik bins cover [-12, 12]
 GRID_POINTS = 4096
 EFFICIENCY_MODELS = ("none", "detection", "detection+storage")
 MIN_RESAMPLES = 50      # fewest bootstrap resamples for a 95% interval
@@ -197,18 +197,17 @@ def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
     symmetric, so the triangle holds all of it. The POVM element of
     (phase k, bin b) is W_b * _phase_rotation(theta_k, d) elementwise: loss
     is phase covariant, so smearing and rotating commute, and no phase
-    enters the cache key.
+    enters the cache key. One walk over the edges evaluates the closed-form
+    antiderivative A of psi_m psi_n once per edge; W_b = A(hi) - A(lo).
     """
     rows, cols, _ = _upper_triangle(dimension)
     edges = _bin_edges()
-    # uncached: this function caches all bins at once, and 202 single-bin
-    # entries would only evict the acceptance windows that breed reuses
-    integral = _window_matrix.__wrapped__
-    windows = np.stack([
-        _smear_povm(integral(dimension, float(lo), float(hi)),
-                    eta_total).real[rows, cols]
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ])
+    windows = np.empty((len(edges) - 1, len(rows)))
+    below = _window_antiderivative(dimension, edges[0])
+    for b, edge in enumerate(edges[1:]):
+        above = _window_antiderivative(dimension, edge)
+        windows[b] = _smear_povm(above - below, eta_total)[rows, cols]
+        below = above
     windows.setflags(write=False)
     return windows
 

@@ -75,6 +75,12 @@ def test_coherent_state_warns_when_truncated_hard():
     assert st.norm == pytest.approx(1.0)
 
 
+def test_coherent_state_without_representable_weight_raises():
+    # every amplitude underflows: the captured probability is exactly 0
+    with pytest.raises(TruncationError):
+        coherent_state(40.0, FockCutoff(40))
+
+
 def test_state_vector_normalize_and_zero_vector():
     cut = FockCutoff(4)
     raw = StateVector(np.array([3.0, 4.0, 0, 0, 0]), cut)
@@ -181,6 +187,16 @@ def test_squeeze_matrix_rejects_extreme_values():
         squeeze_matrix(25.0, FockCutoff(30))
 
 
+@pytest.mark.parametrize("s_db", [np.nan, np.inf, -np.inf])
+def test_non_finite_squeezing_is_a_domain_error(s_db):
+    with pytest.raises(DomainError):
+        squeeze_db_to_r(s_db)
+    with pytest.raises(DomainError):
+        squeeze_matrix(s_db, FockCutoff(30))
+    with pytest.raises(DomainError):
+        target_cat(TargetCatSpec(1.63, s_db), FockCutoff(40))
+
+
 @pytest.mark.parametrize("s_db", [3.64, -3.64, 15.0, -15.0])
 @pytest.mark.parametrize("n_max", [20, 40, 60, 80])
 def test_squeeze_matrix_matches_scipy_expm(s_db, n_max):
@@ -255,6 +271,12 @@ def test_target_cat_requires_large_cutoff():
     for s_db in (20.5, -20.5):
         with pytest.raises(DomainError):
             target_cat(TargetCatSpec(squeezing_db=s_db), FockCutoff(40))
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -1.0])
+def test_target_cat_spec_refuses_non_finite_or_negative_amplitude(amplitude):
+    with pytest.raises(DomainError):
+        TargetCatSpec(amplitude)
 
 
 def test_target_cat_without_representable_weight_raises():

@@ -8,12 +8,13 @@ from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       DomainError, FockCutoff, HeraldImpossibleError,
                       TwoModeState, beam_splitter, breed, coherent_state,
                       condition, fidelity, fidelity_to_pure, fock_state,
-                      homodyne_povm, loss_channel, partial_trace, quadrature_wavefunction,
+                      hermite_functions, homodyne_povm, loss_channel,
+                      partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
 from catbreed.fock import StateVector
 from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary,
-                             _smear_povm)
-from conftest import random_density, random_pure
+                             _smear_povm, _window_matrix)
+from conftest import random_density, random_pure, reference_window_matrix
 
 CUT = FockCutoff(20)
 WINDOW = AcceptanceWindow(0.3)
@@ -241,9 +242,43 @@ def test_loss_rejects_out_of_range_transmission():
 # windowed homodyne POVM
 
 def test_wide_window_povm_is_identity():
-    for eps in (50.0, np.inf):
-        pi = homodyne_povm(AcceptanceWindow(eps), FockCutoff(15))
-        np.testing.assert_allclose(pi, np.eye(16), atol=1e-8)
+    # psi_n spreads to about sqrt(2n + 1), past a fixed integration span at
+    # large cutoffs; the exact integrals reach the identity at every cutoff
+    for n_max in (15, 60, 80, 100, 500):
+        for eps in (50.0, np.inf):
+            pi = homodyne_povm(AcceptanceWindow(eps), FockCutoff(n_max))
+            np.testing.assert_allclose(pi, np.eye(n_max + 1), rtol=0,
+                                       atol=1e-15)
+
+
+# narrow, MaxLik-bin-sized, tail, asymmetric and full-span windows
+ORACLE_WINDOWS = ((-0.3, 0.3), (-0.15, 0.15), (0.0, 0.06), (-6.0, -5.94),
+                  (2.04, 2.1), (6.0, 12.0), (-1.0, 2.5), (-12.0, 12.0))
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 5, 13, 21, 41, 61, 81, 101, 121])
+def test_window_matrix_matches_gauss_legendre_oracle(dimension):
+    # measured worst 3.3e-15, at dimension 121 on the full span
+    for lo, hi in ORACLE_WINDOWS:
+        np.testing.assert_allclose(_window_matrix(dimension, lo, hi),
+                                   reference_window_matrix(dimension, lo, hi),
+                                   rtol=0, atol=1e-14)
+
+
+# asked for 1e-14, quad flags round-off on a few smooth integrands while
+# landing within 3e-16 of the closed form there
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("m, n", [(0, 0), (3, 7), (20, 41), (60, 61),
+                                  (100, 100), (199, 200), (200, 200)])
+def test_window_matrix_matches_adaptive_quadrature(m, n):
+    # measured worst 4.2e-15, at (200, 200) on the full span
+    pi = {window: _window_matrix(201, *window)
+          for window in ((-0.3, 0.3), (6.0, 12.0), (-1.0, 2.5), (-12.0, 12.0))}
+    for (lo, hi), mat in pi.items():
+        val, _ = quad(lambda x: hermite_functions(max(m, n), x)[[m, n]].prod(),
+                      lo, hi, limit=200, epsabs=1e-14, epsrel=0)
+        assert mat[m, n] == pytest.approx(val, rel=0, abs=1e-14)
+        assert mat[n, m] == mat[m, n]
 
 
 def test_povm_vacuum_element_is_gaussian_mass():

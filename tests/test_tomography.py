@@ -19,12 +19,12 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       save_dataset_csv, single_photon_state, squeeze_matrix,
                       uniform_phases, write_density_csv, write_meta)
 from catbreed.fock import StateVector, _phase_rotation
-from catbreed.optics import _smear_povm, _window_matrix
+from catbreed.optics import _smear_povm
 from catbreed.tomography import (RESAMPLE_BLOCK, _bin_edges, _binned_povm,
                                  _cell_probabilities, _likelihood_operator,
                                  _upper_triangle)
 import catbreed.tomography as tomo
-from conftest import random_density
+from conftest import random_density, reference_window_matrix
 
 
 def bred_test_state(cutoff=FockCutoff(8)):
@@ -354,10 +354,29 @@ def test_binned_povm_resolves_identity():
             np.testing.assert_allclose(total, np.eye(d), atol=1e-8)
 
 
+def test_binned_povm_peak_memory_is_about_its_output():
+    # the edges are walked one at a time: beyond the returned triangles
+    # only a few d x d matrices are live (stacking every edge's
+    # antiderivative at once would peak at about 14x the output)
+    _upper_triangle(61)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        windows = _binned_povm.__wrapped__(61, 0.76)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * windows.nbytes
+
+
 def test_factored_kernel_matches_dense_povm_stack():
     # the kernel never forms the (n_phases * n_bins, d, d) POVM stack and
     # reads only the upper triangles of W_b, rot_k and rho; build that
-    # stack here and contract it directly, for a stack of two states
+    # stack here from the quadrature oracle and contract it directly, for
+    # a stack of two states. The kernel reads the oracle's own triangles:
+    # the closed-form bins differ from the oracle's by round-off (measured
+    # 7.3e-16), which 606 weighted cells would add up past the kernel's
+    # 1e-14, so _binned_povm is held to the oracle on its own
     d = 13
     rng = np.random.default_rng(57)
     a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
@@ -368,10 +387,13 @@ def test_factored_kernel_matches_dense_povm_stack():
     edges = _bin_edges()
     for eta in (1.0, 0.76):
         base = np.stack([
-            _smear_povm(np.array(_window_matrix(d, lo, hi), dtype=complex), eta)
+            _smear_povm(np.array(reference_window_matrix(d, lo, hi),
+                                 dtype=complex), eta)
             for lo, hi in zip(edges[:-1], edges[1:])])
         stack = np.concatenate([base * _phase_rotation(t, d) for t in phases])
-        windows = _binned_povm(d, eta)
+        windows = base.real[:, rows, cols]
+        np.testing.assert_allclose(_binned_povm(d, eta), windows, rtol=0,
+                                   atol=2e-15)
 
         probs = _cell_probabilities(rho, windows, rotations)
         assert probs.shape == (2, len(phases), len(edges) - 1)
