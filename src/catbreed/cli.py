@@ -39,8 +39,8 @@ from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        pipeline_states, simulate_timeline, write_curve_csv,
                        write_event_log)
-from .tomography import (MIN_RESAMPLES, _write_csv, bootstrap_many,
-                         load_dataset_csv, maxlik_reconstruct,
+from .tomography import (MIN_RESAMPLES, _check_sample_request, _write_csv,
+                         bootstrap_many, load_dataset_csv, maxlik_reconstruct,
                          read_density_csv, sample_homodyne_phases,
                          save_dataset_csv, uniform_phases, write_density_csv,
                          write_meta)
@@ -170,14 +170,16 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, num)
 
 
-def _parse_phase_spec(spec: str) -> np.ndarray:
-    """Either a phase count ('12') or explicit radians ('0,0.26,...')."""
+def _parse_phase_spec(spec: str, total_count: int) -> np.ndarray:
+    """A phase count ('12'), refused before it allocates when the
+    ``total_count`` samples cannot cover it, or explicit radians ('0,0.26,...')."""
     if "," not in spec:
         try:
             count = int(spec)
         except ValueError:
             pass
         else:
+            _check_sample_request(count, total_count)
             return uniform_phases(count)
     try:
         return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
@@ -312,6 +314,7 @@ def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
 
 
 def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
+    phases = _parse_phase_spec(args.phases, args.count)
     if args.state_file is not None:
         state = read_density_csv(args.state_file)
         source = str(args.state_file)
@@ -323,7 +326,6 @@ def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
         state = getattr(pipeline_states(config), args.source)
         source = args.source
 
-    phases = _parse_phase_spec(args.phases)
     rng = np.random.default_rng(config.rng_seed)
     dataset = sample_homodyne_phases(state, phases, args.count, rng,
                                      args.phase_noise_sigma)

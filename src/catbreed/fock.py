@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -194,15 +193,17 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
         when the truncated tail mass exceeds 1e-6.
 
     Raises:
+        DomainError: alpha is not finite.
         TruncationError: no representable weight below the cutoff.
     """
+    if not np.isfinite(alpha):
+        raise DomainError(f"coherent amplitude must be finite, got {alpha}")
     n = np.arange(cutoff.dimension)
     # log-domain: alpha^n / sqrt(n!) overflows for |alpha|^2 ~ n_max otherwise
     log_mag = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
     log_amp = (-np.abs(alpha) ** 2 / 2 + log_mag
                - 0.5 * _log_factorial(cutoff.dimension))
-    phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones_like(n, dtype=complex)
-    amps = np.exp(log_amp) * phase
+    amps = np.exp(log_amp) * np.exp(1j * n * np.angle(alpha))
     captured = float(np.sum(np.abs(amps) ** 2))
     if not captured >= np.finfo(float).tiny:   # 0, or subnormal and too coarse to renormalize
         raise TruncationError(f"coherent state has no weight below cutoff {cutoff.n_max}", 1.0)
@@ -330,36 +331,23 @@ def quadrature_wavefunction(n: int, x) -> np.ndarray | float:
     return float(val) if np.isscalar(x) else val
 
 
-def _beam_splitter_blocks(dimension: int, theta: float, phase: float):
-    """exp(-i theta G) of G = e^{i phase} a^dag b + h.c., block diagonal
-    over the total-photon sectors since G conserves the photon number.
-    Yields (flat two-mode indices, block) for total = 0 .. 2 (dimension - 1),
-    each sector built only when it is asked for."""
-    d = dimension
-    for total in range(2 * d - 1):
-        ks = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)   # n_a values
-        # <k+1, t-k-1| a^dag b |k, t-k> = sqrt((k+1)(t-k))
-        amp = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
-        gen = np.diag(np.exp(1j * phase) * amp, -1) + np.diag(np.exp(-1j * phase) * amp, 1)
-        yield ks * d + (total - ks), _exp_minus_i(theta * gen)
+def _balanced_sector_step(sector: np.ndarray) -> np.ndarray:
+    """Sector N + 1 of U = exp((pi/4)(a^dag b - a b^dag)) from sector N, the real
+    block U[j, k] = <j, N-j|U|k, N-k> (a Wigner d-matrix at pi/2). U maps a^dag
+    to A' = (a^dag - b^dag)/sqrt2 and b^dag to B' = (a^dag + b^dag)/sqrt2, so
+    U|k, N+1-k> = [sqrt(k) A' U|k-1, N+1-k> + sqrt(N+1-k) B' U|k, N-k>] / (N+1):
+    Risbo's symmetric update (J. Geodesy 70, 383, 1996), stable and O(N^2)."""
+    N = len(sector) - 1
+    root = np.sqrt(np.arange(N + 2.0))             # sqrt(j), j = 0 .. N + 1
+    padded = np.zeros((N + 3, N + 3))               # padded[j, k] = sector[j-1, k-1]
+    padded[1:-1, 1:-1] = sector
+    raised = root[:, None] * padded[:-1]            # a^dag: sqrt(j) sector[j-1]
+    kept = root[::-1, None] * padded[1:]            # b^dag: sqrt(N+1-j) sector[j]
+    # sqrt2 A' and sqrt2 B'; column k of either acts on column k-1 of the sector
+    return (((raised - kept)[:, :-1] * root + (raised + kept)[:, 1:] * root[::-1])
+            / (math.sqrt(2.0) * (N + 1)))
 
 
-def _wigner_sectors(support: int):
-    """For N = 0 .. 2 support - 2, yield (lo, the columns lo .. min(N,
-    support - 1) of sector N / sqrt(pi)): what _wigner_coefficients reads of
-    the balanced beam splitter at phase pi/2 and dimension 2 support - 1,
-    where no sector is truncated and each is real to round-off. support^3
-    doubles in all."""
-    K = 2 * support - 1
-    for N, (_, block) in zip(range(K), _beam_splitter_blocks(K, np.pi / 4, np.pi / 2)):
-        lo = max(0, N - support + 1)
-        yield lo, block.real[:, lo:min(N, support - 1) + 1] / np.sqrt(np.pi)
-
-
-# the 4 most recent supports up to 130 keep their sectors (<= 4 x 17.6 MB);
-# larger ones rebuild them on every call, holding one sector at a time
-_WIGNER_CACHED_SUPPORT = 130
-_cached_wigner_sectors = lru_cache(maxsize=4)(lambda M: tuple(_wigner_sectors(M)))
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])   # (-i)^j at j mod 4, exact
 
 
@@ -371,14 +359,17 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     balanced beam splitter B) turns psi_m(x-y) psi_n(x+y) into a sum of
     psi_k(sqrt2 x) psi_{N-k}(sqrt2 y), N = m + n, and psi_l has Fourier
     transform i^l psi_l, so D_{k,N-k} = Re[(-i)^{N-k} (B^N rho_{N-n,n})_k] / sqrt(pi).
+    Each sector B^N is built from the one before, O(M^3) in all, and dropped.
     """
     M = _support_dimension(rho.matrix)
     D = np.zeros((2 * M - 1, 2 * M - 1))
-    cached = M <= _WIGNER_CACHED_SUPPORT
-    for N, (lo, block) in enumerate(_cached_wigner_sectors(M) if cached else _wigner_sectors(M)):
-        n, k = np.arange(lo, lo + block.shape[1]), np.arange(N + 1)
-        D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * (block @ rho.matrix[N - n, n])).real
-    return D
+    sector = np.ones((1, 1))
+    for N in range(2 * M - 1):
+        if N:
+            sector = _balanced_sector_step(sector)
+        n, k = np.arange(max(0, N - M + 1), min(N, M - 1) + 1), np.arange(N + 1)
+        D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * (sector[:, n] @ rho.matrix[N - n, n])).real
+    return D / math.sqrt(math.pi)
 
 
 def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:

@@ -18,8 +18,8 @@ from .errors import DomainError, HeraldImpossibleError
 from .fock import (
     DensityOperator,
     FockCutoff,
-    _beam_splitter_blocks,
     _check_density_matrix,
+    _exp_minus_i,
     _log_factorial,
     _phase_rotation,
     _support_dimension,
@@ -72,6 +72,20 @@ class HeraldOutcome:
 
     state: DensityOperator
     probability: float
+
+
+def _beam_splitter_blocks(dimension: int, theta: float, phase: float):
+    """exp(-i theta G) of G = e^{i phase} a^dag b + h.c. by one complex eigh
+    per total-photon sector (G conserves the photon number), built when asked
+    for: yields (flat two-mode indices, block) for total = 0 .. 2 (dimension - 1).
+    Totals >= dimension exponentiate the truncated generator."""
+    d = dimension
+    for total in range(2 * d - 1):
+        ks = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)   # n_a values
+        # <k+1, t-k-1| a^dag b |k, t-k> = sqrt((k+1)(t-k))
+        amp = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        gen = np.diag(np.exp(1j * phase) * amp, -1) + np.diag(np.exp(-1j * phase) * amp, 1)
+        yield ks * d + (total - ks), _exp_minus_i(theta * gen)
 
 
 @lru_cache(maxsize=16)
@@ -141,15 +155,12 @@ def _loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
         # everything decays to vacuum: |k> -> |0> with amplitude 1
         return np.eye(dimension, dtype=complex)
     log_factorial = _log_factorial(dimension)
+    k, n = np.arange(dimension)[:, None], np.arange(dimension)
+    log_coeff = 0.5 * (log_factorial[n] - log_factorial[k] - log_factorial[n - k])
+    log_b = (log_coeff + 0.5 * (n - k) * np.log(transmission)
+             + 0.5 * k * np.log1p(-transmission))
     # complex, so that the products with complex states need no cast
-    b = np.zeros((dimension, dimension), dtype=complex)
-    for k in range(dimension):
-        n = np.arange(k, dimension)
-        log_coeff = 0.5 * (log_factorial[k:] - log_factorial[k]
-                           - log_factorial[:dimension - k])
-        b[k, k:] = np.exp(log_coeff + 0.5 * (n - k) * np.log(transmission)
-                          + 0.5 * k * np.log1p(-transmission))
-    return b
+    return np.exp(np.where(n >= k, log_b, -np.inf)).astype(complex)
 
 
 def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
@@ -199,12 +210,9 @@ def _window_matrix(dimension: int, lo: float, hi: float) -> np.ndarray:
     return mat
 
 
-def _smear_povm(pi: np.ndarray, transmission: float) -> np.ndarray:
-    """Adjoint loss map on a POVM element: sum_k A_k^dag Pi A_k."""
-    if transmission == 1.0:
-        return pi
+def _smear_povm(pi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adjoint loss map sum_k A_k^dag Pi A_k for real ``_loss_amplitudes`` b."""
     d = pi.shape[0]
-    b = _loss_amplitudes(transmission, d).real   # so a real Pi stays real
     out = np.zeros_like(pi)
     for k in range(d):
         # A_k^dag Pi A_k: Pi[n, m] moves to [n+k, m+k], scaled by b[k, n+k] b[k, m+k]
@@ -227,7 +235,7 @@ def homodyne_povm(window: AcceptanceWindow, cutoff: FockCutoff,
     eps = window.half_width
     pi = np.array(_window_matrix(cutoff.dimension, -eps, eps), dtype=complex)
     if detector_efficiency < 1.0:
-        pi = _smear_povm(pi, detector_efficiency)
+        pi = _smear_povm(pi, _loss_amplitudes(detector_efficiency, cutoff.dimension).real)
     if window.phase != 0.0:
         pi = pi * _phase_rotation(window.phase, cutoff.dimension)
     return pi

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fock import (DensityOperator, FockCutoff, _phase_rotation,
                    _support_dimension, hermite_functions)
-from .optics import _smear_povm, _window_antiderivative
+from .optics import _loss_amplitudes, _smear_povm, _window_antiderivative
 
 GRID_SPAN = 12.0        # the sampling grid and the MaxLik bins cover [-12, 12]
 GRID_POINTS = 4096
@@ -146,19 +146,29 @@ def uniform_phases(n_phases: int) -> np.ndarray:
     return np.arange(n_phases) * np.pi / n_phases
 
 
+# a `catbreed sample` run peaks at about 160 bytes per sample, so the largest
+# request this cap accepts stays below 0.9 GB
+MAX_SAMPLES = 5_000_000
+
+
+def _check_sample_request(n_phases: int, total_count: int) -> None:
+    """Refuse, before anything is allocated, too few samples or too many."""
+    if not 1 <= n_phases <= total_count <= MAX_SAMPLES:
+        raise DomainError(f"need at least one phase, one sample per phase and at most "
+                          f"{MAX_SAMPLES} samples, got {total_count} at {n_phases} phases")
+
+
 def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
                            total_count: int, rng: np.random.Generator,
                            phase_noise_sigma: float = 0.0) -> HomodyneDataset:
-    """Split ``total_count`` samples across phases (earlier phases take
-    the remainder) and concatenate the per-phase samples."""
-    n_ph = len(phases)
-    if n_ph == 0 or total_count < n_ph:
-        raise DomainError("need at least one phase and one sample per phase")
+    """Split ``total_count`` samples, at most MAX_SAMPLES, across phases
+    (earlier phases take the remainder) and concatenate them."""
+    _check_sample_request(len(phases), total_count)
     finite = np.isfinite(phases)
     if not finite.all():
         raise DomainError(f"homodyne phase must be finite, got "
                           f"{phases[np.argmin(finite)]}")
-    base, extra = divmod(total_count, n_ph)
+    base, extra = divmod(total_count, len(phases))
     parts = [sample_homodyne(rho, float(th), base + (1 if k < extra else 0),
                              rng, phase_noise_sigma)
              for k, th in enumerate(phases)]
@@ -203,10 +213,12 @@ def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
     rows, cols, _ = _upper_triangle(dimension)
     edges = _bin_edges()
     windows = np.empty((len(edges) - 1, len(rows)))
+    loss = _loss_amplitudes(eta_total, dimension).real if eta_total < 1.0 else None
     below = _window_antiderivative(dimension, edges[0])
     for b, edge in enumerate(edges[1:]):
         above = _window_antiderivative(dimension, edge)
-        windows[b] = _smear_povm(above - below, eta_total)[rows, cols]
+        windows[b] = (above - below if loss is None
+                      else _smear_povm(above - below, loss))[rows, cols]
         below = above
     windows.setflags(write=False)
     return windows

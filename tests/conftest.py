@@ -6,6 +6,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from catbreed import DensityOperator, FockCutoff, hermite_functions
+from catbreed.optics import _loss_amplitudes, _smear_povm
 
 # Hypothesis caches the constants it reads from local source files when it
 # collects tests, even with no example database; keep that cache out of the
@@ -50,3 +51,11 @@ def reference_window_matrix(dimension: int, lo: float, hi: float) -> np.ndarray:
     ws = (half[:, None] * weights[None, :]).ravel()
     psi = hermite_functions(dimension - 1, xs)
     return (psi * ws) @ psi.T
+
+
+def smear_povm(pi: np.ndarray, eta: float) -> np.ndarray:
+    """The adjoint loss map at transmission ``eta`` on a POVM element, as
+    its callers apply it: the identity at eta = 1."""
+    if eta == 1.0:
+        return pi
+    return _smear_povm(pi, _loss_amplitudes(eta, len(pi)).real)

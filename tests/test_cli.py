@@ -426,6 +426,27 @@ def test_sample_from_state_file(tmp_path, capsys):
     assert meta["source"] == str(state_path)
 
 
+@pytest.mark.parametrize("flags,message", [
+    # 1e12 samples would peak at about 160 TB
+    (["--count", "1000000000000"], "at most 5000000"),
+    # a billion phases for 17 000 samples: an 8 GB phase array
+    (["--phases", "1000000000"], "one sample per phase"),
+], ids=["count", "phases"])
+def test_sample_refuses_oversized_requests_before_they_allocate(
+        tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["sample", "--output-dir", str(out), *flags], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in err
+    assert peak < 1_000_000
+    assert not out.exists()
+
+
 def test_tomography_bootstrap_report(tmp_path, capsys):
     state_path = tmp_path / "vacuum.csv"
     write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)

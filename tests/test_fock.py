@@ -17,9 +17,9 @@ from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
                       parity_expectation, purity, quadrature_wavefunction,
                       squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
                       wigner_grid)
-from catbreed.fock import (MAX_CUTOFF, _WIGNER_CACHED_SUPPORT,
-                           _cached_wigner_sectors, _log_factorial,
+from catbreed.fock import (MAX_CUTOFF, _balanced_sector_step, _log_factorial,
                            _support_dimension)
+from catbreed.optics import _beam_splitter_blocks
 from conftest import random_density, random_pure
 
 
@@ -73,6 +73,17 @@ def test_coherent_state_warns_when_truncated_hard():
         st = coherent_state(1.63, FockCutoff(3))
     assert st.truncation_deficit > 1e-6
     assert st.norm == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                   complex(np.inf, 0.0)])
+def test_coherent_state_refuses_non_finite_alpha(alpha):
+    # before anything is computed: no TruncationError for NaN, no
+    # RuntimeWarning from inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be finite"):
+            coherent_state(alpha, FockCutoff(10))
 
 
 def test_coherent_state_without_representable_weight_raises():
@@ -548,44 +559,46 @@ def test_wigner_scalar_zero_d_and_broadcast_calls():
 
 
 def test_wigner_origin_is_the_fock_parity_up_to_n_60():
-    # every third n: both parities and every quarter turn (-i)^j, j mod 4,
-    # at a fraction of the cost of 61 cold sector builds
-    for n in range(0, 61, 3):
+    for n in range(61):
         rho = fock_state(n, FockCutoff(max(n, 2))).to_density()
         assert np.pi * wigner(rho, 0.0, 0.0) == pytest.approx((-1) ** n, abs=1e-14)
 
 
-def test_wigner_sector_cache_stays_bounded():
-    top = _WIGNER_CACHED_SUPPORT
-    assert top == 130
-    _cached_wigner_sectors.cache_clear()
+def test_balanced_sectors_match_the_eigh_blocks_up_to_257():
+    # every complete sector (total N < K) of the exponentiated generator at
+    # K = 257: at phase pi/2 itself, and at phase 0 through the number-operator
+    # rotation U_0[j, k] = i^(k - j) U_pi/2[j, k] (j, k the mode-a photons)
+    K = 257
+    quarter_turns = np.array([1.0, 1j, -1.0, -1j])   # i^m at m mod 4, exact
+    sector = np.ones((1, 1))
+    worst = 0.0
+    for N, (_, at_half_pi), (_, at_zero) in zip(
+            range(K), _beam_splitter_blocks(K, np.pi / 4, np.pi / 2),
+            _beam_splitter_blocks(K, np.pi / 4, 0.0)):
+        if N:
+            sector = _balanced_sector_step(sector)
+        j = np.arange(N + 1)
+        turns = quarter_turns[(j - j[:, None]) % 4]
+        worst = max(worst, np.max(np.abs(sector - at_half_pi)),
+                    np.max(np.abs(turns * sector - at_zero)))
+    assert worst <= 1e-13
+
+
+def test_wigner_keeps_nothing_between_calls():
+    # the sectors are built one from the next and dropped: a cold support-130
+    # call peaks at about eight arrays of the largest sector's size (0.53 MB
+    # each), where a cache of every sector took 25 MB, and keeps nothing but
+    # its result
     xs = np.linspace(-2, 2, 5)
-    # a cold call at the largest cached support keeps its sectors:
-    # support^3 doubles (17.6 MB) plus small tuple and array headers
+    rho = fock_state(129, FockCutoff(129)).to_density()
     tracemalloc.start()
     try:
-        wigner_grid(fock_state(top - 1, FockCutoff(top - 1)).to_density(), xs, xs)
+        grid = wigner_grid(rho, xs, xs)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 8 * top ** 3 <= retained <= 8 * top ** 3 + 100_000
-    assert peak < 2 * 8 * top ** 3
-    assert _cached_wigner_sectors.cache_info().currsize == 1
-    # one support more and the sectors are rebuilt per call, none kept
-    tracemalloc.start()
-    try:
-        wigner_grid(fock_state(top, FockCutoff(top)).to_density(), xs, xs)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert retained < 10_000
-    assert peak < 16_000_000
-    assert _cached_wigner_sectors.cache_info().currsize == 1
-    # many distinct supports keep only the most recent few
-    for support in range(1, 30):
-        wigner(state_with_support(np.random.default_rng(support), support, 1), 0.0, 0.0)
-    info = _cached_wigner_sectors.cache_info()
-    assert info.currsize == info.maxsize == 4
+    assert retained - grid.nbytes < 10_000
+    assert peak < 6_000_000
 
 
 # ---------------------------------------------------------------------------

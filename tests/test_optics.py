@@ -11,10 +11,11 @@ from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       hermite_functions, homodyne_povm, loss_channel,
                       partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
-from catbreed.fock import StateVector
+from catbreed.fock import StateVector, _log_factorial
 from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary,
-                             _smear_povm, _window_matrix)
-from conftest import random_density, random_pure, reference_window_matrix
+                             _loss_amplitudes, _window_matrix)
+from conftest import (random_density, random_pure, reference_window_matrix,
+                      smear_povm)
 
 CUT = FockCutoff(20)
 WINDOW = AcceptanceWindow(0.3)
@@ -226,7 +227,7 @@ def test_loss_map_matches_kraus_sum(d):
         smeared = sum(A.conj().T @ pi @ A for A in kraus)
         np.testing.assert_allclose(loss_channel(rho, eta).matrix, lossy,
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(_smear_povm(pi, eta), smeared,
+        np.testing.assert_allclose(smear_povm(pi, eta), smeared,
                                    rtol=0, atol=1e-14)
 
 
@@ -312,7 +313,7 @@ def test_povm_phase_rotation_is_number_conjugation():
 def test_povm_smear_commutes_with_phase_rotation():
     phase, eta = 1.1, 0.76
     via_api = homodyne_povm(AcceptanceWindow(0.3, phase), FockCutoff(10), eta)
-    rotated_then_smeared = _smear_povm(
+    rotated_then_smeared = smear_povm(
         homodyne_povm(AcceptanceWindow(0.3, phase), FockCutoff(10)), eta)
     np.testing.assert_allclose(via_api, rotated_then_smeared, atol=1e-10)
 
@@ -320,8 +321,31 @@ def test_povm_smear_commutes_with_phase_rotation():
 @pytest.mark.parametrize("eta", [0.0, 0.37, 0.76, 0.841, 1.0])
 def test_povm_smear_is_unital(eta):
     # sum_k A_k^dag A_k = 1: the loss channel is trace preserving
-    np.testing.assert_allclose(_smear_povm(np.eye(14, dtype=complex), eta),
+    np.testing.assert_allclose(smear_povm(np.eye(14, dtype=complex), eta),
                                np.eye(14), atol=1e-12)
+
+
+def row_loop_loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
+    """Oracle: the row-by-row loop _loss_amplitudes replaced, unchanged, for
+    0 < transmission < 1."""
+    log_factorial = _log_factorial(dimension)
+    b = np.zeros((dimension, dimension), dtype=complex)
+    for k in range(dimension):
+        n = np.arange(k, dimension)
+        log_coeff = 0.5 * (log_factorial[k:] - log_factorial[k]
+                           - log_factorial[:dimension - k])
+        b[k, k:] = np.exp(log_coeff + 0.5 * (n - k) * np.log(transmission)
+                          + 0.5 * k * np.log1p(-transmission))
+    return b
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 13, 61, 501])
+def test_loss_amplitudes_match_the_row_loop_bit_for_bit(d):
+    for eta in (1e-300, 0.01, 0.37, 0.76, 0.841, 1.0 - 1e-12):
+        got = _loss_amplitudes(eta, d)
+        assert got.dtype == complex
+        assert np.array_equal(got, row_loop_loss_amplitudes(eta, d))
+    np.testing.assert_array_equal(_loss_amplitudes(0.0, d), np.eye(d))
 
 
 def test_povm_rejects_bad_detector_efficiency():

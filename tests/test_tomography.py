@@ -19,12 +19,11 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       save_dataset_csv, single_photon_state, squeeze_matrix,
                       uniform_phases, write_density_csv, write_meta)
 from catbreed.fock import StateVector, _phase_rotation
-from catbreed.optics import _smear_povm
 from catbreed.tomography import (RESAMPLE_BLOCK, _bin_edges, _binned_povm,
                                  _cell_probabilities, _likelihood_operator,
                                  _upper_triangle)
 import catbreed.tomography as tomo
-from conftest import random_density, reference_window_matrix
+from conftest import random_density, reference_window_matrix, smear_povm
 
 
 def bred_test_state(cutoff=FockCutoff(8)):
@@ -212,6 +211,22 @@ def test_sample_homodyne_phases_splits_counts():
         sample_homodyne_phases(vac, np.zeros(0), 10, np.random.default_rng(0))
 
 
+def test_sampling_refuses_oversized_requests_before_they_allocate():
+    # 1e12 samples would peak at about 160 TB
+    vac = fock_state(0, FockCutoff(6)).to_density()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="at most 5000000"):
+            sample_homodyne_phases(vac, uniform_phases(4), 10 ** 12,
+                                   np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the README's 17 000-sample run stays far below the cap
+    assert 17_000 < tomo.MAX_SAMPLES / 100
+
+
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
@@ -387,8 +402,8 @@ def test_factored_kernel_matches_dense_povm_stack():
     edges = _bin_edges()
     for eta in (1.0, 0.76):
         base = np.stack([
-            _smear_povm(np.array(reference_window_matrix(d, lo, hi),
-                                 dtype=complex), eta)
+            smear_povm(np.array(reference_window_matrix(d, lo, hi),
+                                dtype=complex), eta)
             for lo, hi in zip(edges[:-1], edges[1:])])
         stack = np.concatenate([base * _phase_rotation(t, d) for t in phases])
         windows = base.real[:, rows, cols]
