@@ -12,7 +12,9 @@ a loss map.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -181,7 +183,10 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
 
 N_X_BINS = 200          # uniform bins across [-6, 6]
 X_BIN_SPAN = 6.0        # plus one tail bin out to the grid edge on each side
-RESAMPLE_BLOCK = 16     # bootstrap resamples fitted together
+HALF_BINS = N_X_BINS // 2 + 1   # the first x >= 0 bin; bin 201 - j mirrors bin j
+# fits kept live together: results depend on the batch at round-off, so the
+# width is a constant and equal seeds give equal bits on every machine
+RESAMPLE_BLOCK = 16
 
 
 def _bin_edges() -> np.ndarray:
@@ -190,76 +195,53 @@ def _bin_edges() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _upper_triangle(dimension: int) -> tuple:
-    """Row and column indices of the d(d+1)/2 entries on and above the
-    diagonal, and the weight of each in a trace: 1 on the diagonal, 2 off
-    it, where the entry stands for its mirror too."""
-    rows, cols = np.triu_indices(dimension)
-    return rows, cols, np.where(rows == cols, 1.0, 2.0)
-
-
-@lru_cache(maxsize=8)
 def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
-    """Real window matrices of shape (n_bins, d(d+1)/2) for binned MaxLik.
+    """Real window matrices of the x >= 0 bins for binned MaxLik, offset-major:
+    Wd[delta, m, b] = W_b[m, m + delta], zero where m + delta >= d.
 
-    Row b is the upper triangle of the window integral W_b over x-bin b at
-    phase 0, smeared by the loss adjoint when eta_total < 1; W_b is
-    symmetric, so the triangle holds all of it. The POVM element of
-    (phase k, bin b) is W_b * _phase_rotation(theta_k, d) elementwise: loss
-    is phase covariant, so smearing and rotating commute, and no phase
-    enters the cache key. One walk over the edges evaluates the closed-form
-    antiderivative A of psi_m psi_n once per edge; W_b = A(hi) - A(lo).
+    W_b, symmetric, is the window integral over x-bin HALF_BINS + b at phase
+    0, smeared by the loss adjoint when eta_total < 1. The POVM element of
+    (phase k, bin) is W * _phase_rotation(theta_k, d), e^{i theta_k delta} on
+    offset delta: loss is phase covariant, so no phase enters the cache key.
+    The edges mirror, psi_n(-x) = (-1)^n psi_n(x) and loss keeps parity, so
+    bin HALF_BINS - 1 - b is (-1)^delta times bin b and is not stored. One
+    walk over the edges evaluates the closed-form antiderivative A of
+    psi_m psi_n once per edge; W_b = A(hi) - A(lo).
     """
-    rows, cols, _ = _upper_triangle(dimension)
-    edges = _bin_edges()
-    windows = np.empty((len(edges) - 1, len(rows)))
-    loss = _loss_amplitudes(eta_total, dimension).real if eta_total < 1.0 else None
-    below = _window_antiderivative(dimension, edges[0])
+    d = dimension
+    edges = _bin_edges()[HALF_BINS:]
+    windows = np.empty((d, d, len(edges) - 1))
+    # [delta, m] -> (m, m + delta) of a zero-padded d x 2d copy of W_b
+    skew = np.arange(d)[:, None] + (2 * d + 1) * np.arange(d)
+    padded = np.zeros((d, 2 * d))
+    loss = _loss_amplitudes(eta_total, d).real if eta_total < 1.0 else None
+    below = _window_antiderivative(d, edges[0])
     for b, edge in enumerate(edges[1:]):
-        above = _window_antiderivative(dimension, edge)
-        windows[b] = (above - below if loss is None
-                      else _smear_povm(above - below, loss))[rows, cols]
+        above = _window_antiderivative(d, edge)
+        padded[:, :d] = above - below if loss is None else _smear_povm(above - below, loss)
+        windows[:, :, b] = padded.ravel()[skew]
         below = above
     windows.setflags(write=False)
     return windows
 
 
-def _cell_probabilities(rho: np.ndarray, windows: np.ndarray,
-                        rotations: np.ndarray) -> np.ndarray:
-    """p[i, k, b] = Tr(Pi_kb rho_i) for a stack rho of shape (B, d, d) and
-    Pi_kb = W_b * rot_k, with ``windows`` and ``rotations`` the
-    (n_bins, T) and (n_phases, T) upper triangles of W_b and rot_k,
-    T = d(d+1)/2.
-
-    W_b is real and symmetric and rho_i Hermitian, so the trace is the sum
-    over the triangle of Re(rot_k * conj(rho_i)) W_b, off-diagonal entries
-    counted twice.
-    """
-    rows, cols, weight = _upper_triangle(rho.shape[-1])
-    upper = rho[:, rows, cols] * weight
-    terms = (rotations.real * upper.real[:, None]
-             + rotations.imag * upper.imag[:, None])
-    n_fits, n_phases, n_upper = terms.shape
-    probs = terms.reshape(-1, n_upper) @ windows.T
-    return probs.reshape(n_fits, n_phases, -1)
-
-
-def _likelihood_operator(weights: np.ndarray, windows: np.ndarray,
-                         rotations: np.ndarray) -> np.ndarray:
-    """R_i = sum_kb weights[i, k, b] Pi_kb = sum_k rot_k * (weights_ik @ W)
-    for a (B, n_phases, n_bins) stack of weights, built from its upper
-    triangle: R_i is Hermitian."""
-    n_fits, n_phases, n_bins = weights.shape
-    folded = (weights.reshape(-1, n_bins) @ windows).reshape(
-        n_fits, n_phases, -1)
-    upper = (np.einsum("ikt,kt->it", folded, rotations.real)
-             + 1j * np.einsum("ikt,kt->it", folded, rotations.imag))
-    d = math.isqrt(2 * windows.shape[1])
-    rows, cols, _ = _upper_triangle(d)
-    R = np.empty((n_fits, d, d), dtype=complex)
-    R[:, cols, rows] = upper.conj()
-    R[:, rows, cols] = upper
-    return R
+@lru_cache(maxsize=2)
+def _offset_indices(dimension: int, n_fits: int) -> tuple:
+    """Flat positions, in a stack of n_fits d x d complex matrices viewed as
+    floats, of (Re, Im) of entry (m, m + delta) and of its mirror
+    (m + delta, m), in [delta, part, fit, m] order. Where m + delta >= d the
+    gather reads entry (m, d - 1), which meets a zero window, and the
+    scatters, and the mirror's on the diagonal, write a spare last slot."""
+    d = dimension
+    delta, part, fit, m = (np.arange(d)[:, None, None, None],
+                           np.arange(2)[:, None, None],
+                           2 * d * d * np.arange(n_fits)[:, None], np.arange(d))
+    n = m + delta
+    spare = 2 * d * d * n_fits
+    gather = fit + 2 * (d * m + np.minimum(n, d - 1)) + part
+    upper = np.where(n < d, fit + 2 * (d * m + n) + part, spare)
+    lower = np.where((n < d) & (delta > 0), fit + 2 * (d * n + m) + part, spare)
+    return gather.ravel(), upper.ravel(), lower.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,79 +278,108 @@ def _efficiency_transmission(efficiency_model: str, eta_detection: float,
 
 @dataclass(frozen=True, eq=False)
 class _BinnedProblem:
-    """One dataset's MaxLik problem: validated fit settings, the (phase,
-    x-bin) cell of every sample and the folded POVM factors."""
+    """One dataset's MaxLik problem: validated fit settings, the (mirror,
+    phase, x-bin) cell of every sample and the factors of the POVM.
+
+    Rows of a count or probability table run over the phases k at the base
+    bins (x >= 0), then over them at the mirror bins; columns over the base
+    bins in use."""
 
     cutoff: FockCutoff
     efficiency_model: str
     max_iter: int
     tol_per_sample: float
     cells: np.ndarray       # flat cell index of each sample
-    windows: np.ndarray     # (n_bins, d(d+1)/2) triangles of the W_b in use
-    rotations: np.ndarray   # (n_phases, d(d+1)/2) triangles of rot_k
+    forward: np.ndarray     # (d, d, n_bins) Wd in use, offsets > 0 doubled
+    backward: np.ndarray    # (d, n_bins, d) Wd in use, transposed
+    phases: np.ndarray      # (2 n_phases, 2d) cos, sin(theta_k delta), then x (-1)^delta
 
     def counts(self, samples=slice(None)) -> np.ndarray:
-        """(n_phases, n_bins) count table of the samples at ``samples``."""
-        shape = (len(self.rotations), len(self.windows))
+        """(2 n_phases, n_bins) count table of the samples at ``samples``."""
+        shape = (len(self.phases), self.forward.shape[2])
         return np.bincount(self.cells[samples],
                            minlength=shape[0] * shape[1]).reshape(shape)
 
-    def _update(self, rho: np.ndarray, freq: np.ndarray) -> tuple:
-        """Clipped cell probabilities and R = sum_j (f_j/p_j) Pi_j of each
-        fit; an empty cell has f_j = 0 and adds nothing."""
-        probs = np.clip(_cell_probabilities(rho, self.windows, self.rotations),
-                        1e-12, None)
-        return probs, _likelihood_operator(freq / probs, self.windows,
-                                           self.rotations)
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """p[row, i, b] = Tr(Pi rho_i) of every cell, for a (B, d, d) stack
+        of Hermitian rho_i: the sum over the upper triangle of
+        Re(e^{i theta_k delta} conj(rho_i[m, m + delta])) W_b[m, m + delta],
+        off-diagonal entries counted twice."""
+        d, n_fits = self.cutoff.dimension, len(rho)
+        gather, _, _ = _offset_indices(d, n_fits)
+        u = np.ascontiguousarray(rho).view(float).ravel().take(gather)
+        y = u.reshape(d, 2 * n_fits, d) @ self.forward
+        return (self.phases @ y.reshape(2 * d, -1)).reshape(
+            len(self.phases), n_fits, -1)
 
-    def fit(self, counts: np.ndarray) -> list:
-        """Run the R-rho-R iteration on a (B, n_phases, n_bins) stack of
-        count tables together. Each fit keeps its own stop test and leaves
-        the running set when it stops.
+    def likelihood_operator(self, weights: np.ndarray) -> np.ndarray:
+        """R_i = sum over cells of weights[row, i, b] Pi_(row, b), for
+        weights shaped as ``probabilities`` returns; R_i is Hermitian and
+        built from its upper triangle."""
+        d, n_fits = self.cutoff.dimension, weights.shape[1]
+        _, upper, lower = _offset_indices(d, n_fits)
+        z = self.phases.T @ weights.reshape(len(self.phases), -1)
+        r = (z.reshape(d, 2 * n_fits, -1) @ self.backward).reshape(d, 2, -1)
+        floats = np.empty(2 * d * d * n_fits + 1)      # one spare slot
+        floats[lower] = (r * np.array([[1.0], [-1.0]])).ravel()
+        floats[upper] = r.ravel()
+        return floats[:-1].view(complex).reshape(n_fits, d, d)
 
-        Returns one (rho, history, gain, stop_reason, gap_bound) per table.
+    def fit(self, tables):
+        """Run the R-rho-R iteration on each count table of the iterable
+        ``tables``, with up to RESAMPLE_BLOCK fits live: a fit that stops
+        frees its slot for the next table. Each fit keeps its own stop test.
+
+        Yields (index, rho, history, gain, stop_reason, gap_bound) as each
+        fit stops, index being the table's position in ``tables``.
         """
         d = self.cutoff.dimension
-        n_fits = len(counts)
-        freq = counts / counts.sum(axis=(1, 2), keepdims=True)
+        queue = enumerate(tables)
         diagonal = np.arange(d)
-        rho = np.tile(np.eye(d, dtype=complex) / d, (n_fits, 1, 1))
-        histories = [[] for _ in range(n_fits)]
-        # the first gain is inf, above every accepted tolerance
-        last = np.full(n_fits, -np.inf)
-        gains = np.empty(n_fits)
-        converged = np.zeros(n_fits, dtype=bool)
-        running = np.arange(n_fits)
-        for _ in range(self.max_iter):
-            active = freq[running]
-            probs, R = self._update(rho[running], active)
-            ll = np.sum(active * np.log(probs), axis=(1, 2))
-            gains[running] = ll - last[running]
-            last[running] = ll
-            for i, value in zip(running, ll.tolist()):
-                histories[i].append(value)
-            stop = gains[running] < self.tol_per_sample
-            converged[running[stop]] = True
-            running, R = running[~stop], R[~stop]
-            if not running.size:
-                break
+        live = []               # [index, history, last gain] of each live fit
+        rho = np.empty((0, d, d), dtype=complex)
+        freq = np.empty((len(self.phases), 0, self.forward.shape[2]))
+        while True:
+            new = list(itertools.islice(queue, RESAMPLE_BLOCK - len(live)))
+            if new:
+                live += [[index, [], np.inf] for index, _ in new]
+                rho = np.concatenate([rho, np.broadcast_to(
+                    np.eye(d, dtype=complex) / d, (len(new), d, d))])
+                freq = np.concatenate([freq, np.stack(
+                    [table / table.sum() for _, table in new], axis=1)], axis=1)
+            if not live:
+                return
+            probs = np.maximum(self.probabilities(rho), 1e-12)
+            R = self.likelihood_operator(freq / probs)
+            ll = np.sum(freq * np.log(probs), axis=(0, 2))
+            reasons = []
+            for slot, value in zip(live, ll.tolist()):
+                history = slot[1]
+                # a capped fit is evaluated once more, at the estimate it returns
+                if len(history) == self.max_iter:
+                    reasons.append("max_iterations")
+                    continue
+                # the first gain is inf, above every accepted tolerance
+                slot[2] = value - (history[-1] if history else -np.inf)
+                history.append(value)
+                reasons.append("converged" if slot[2] < self.tol_per_sample else None)
+            stop = np.array([reason is not None for reason in reasons])
+            if stop.any():
+                for s in np.flatnonzero(stop):
+                    # concavity of the log-likelihood bounds the per-sample
+                    # gap to the maximum by lambda_max(R) - 1 at the returned
+                    # estimate (Glancy, Knill & Girard, NJP 14, 095017, 2012)
+                    gap = (np.linalg.eigvalsh(R[s])[-1] - 1.0
+                           if np.all(np.isfinite(R[s])) else np.nan)
+                    index, history, gain = live[s]
+                    yield index, rho[s], history, gain, reasons[s], gap
+                live = [slot for slot, kept in zip(live, ~stop) if kept]
+                rho, R, freq = rho[~stop], R[~stop], freq[:, ~stop]
             R[:, diagonal, diagonal] += 1e-12
-            step = R @ rho[running] @ R
-            step = (step + step.conj().swapaxes(1, 2)) / 2.0
-            step /= np.trace(step, axis1=1, axis2=2).real[:, None, None]
-            rho[running] = step
-
-        # concavity of the log-likelihood bounds the per-sample gap to the
-        # maximum by lambda_max(R) - 1 at the returned estimate (Glancy,
-        # Knill & Girard, NJP 14, 095017, 2012); one non-finite fit must
-        # not stop eigvalsh on the others
-        _, R = self._update(rho, freq)
-        finite = np.all(np.isfinite(R), axis=(1, 2))
-        gap = np.full(n_fits, np.nan)
-        gap[finite] = np.linalg.eigvalsh(R[finite])[:, -1] - 1.0
-        return [(rho[i], histories[i], gains[i],
-                 "converged" if converged[i] else "max_iterations", gap[i])
-                for i in range(n_fits)]
+            step = R @ rho @ R
+            # the Hermitian part over its trace; the halving cancels exactly
+            step += step.conj().swapaxes(1, 2)
+            rho = step / np.trace(step, axis1=1, axis2=2).real[:, None, None]
 
 
 def _binned_problem(data: HomodyneDataset, cutoff: FockCutoff,
@@ -376,6 +387,8 @@ def _binned_problem(data: HomodyneDataset, cutoff: FockCutoff,
                     storage_transmission: float, max_iter: int,
                     tol_per_sample: float) -> _BinnedProblem:
     """Validate maxlik_reconstruct's arguments and bin ``data``."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if not tol_per_sample < np.inf:
@@ -396,21 +409,26 @@ def _binned_problem(data: HomodyneDataset, cutoff: FockCutoff,
             f"{outside} of {len(data)} samples lie outside the binned "
             f"quadrature span [{edges[0]:g}, {edges[-1]:g}]")
     phases = data.unique_phases()
-    rows, cols, _ = _upper_triangle(d)
     phase_of = np.searchsorted(phases, np.round(data.thetas, 12))
-    # bins are closed on the left, the last one on both sides; an x-bin no
-    # sample falls in has f = 0 at every phase, adds nothing to R or the
-    # likelihood, and is left out
+    # bins are closed on the left, the last one on both sides; a base bin
+    # no sample falls in, nor in its mirror, has f = 0 in every cell, adds
+    # nothing to R or the likelihood, and is left out
+    x_bin = np.minimum(np.searchsorted(edges, data.xs, side="right") - 1,
+                       len(edges) - 2)
+    mirrored = x_bin < HALF_BINS
     bins, bin_of = np.unique(
-        np.minimum(np.searchsorted(edges, data.xs, side="right") - 1,
-                   len(edges) - 2),
+        np.where(mirrored, HALF_BINS - 1 - x_bin, x_bin - HALF_BINS),
         return_inverse=True)
+    windows = _binned_povm(d, float(eta_total))[:, :, bins]
+    delta = np.arange(d)
+    base = np.exp(1j * np.outer(phases, delta)).view(float)  # cos, sin per delta
     return _BinnedProblem(
-        cutoff=cutoff, efficiency_model=efficiency_model, max_iter=max_iter,
-        tol_per_sample=tol_per_sample, cells=phase_of * len(bins) + bin_of,
-        windows=_binned_povm(d, float(eta_total))[bins],
-        rotations=np.stack([_phase_rotation(th, d)[rows, cols]
-                            for th in phases]))
+        cutoff=cutoff, efficiency_model=efficiency_model,
+        max_iter=int(max_iter), tol_per_sample=tol_per_sample,
+        cells=(mirrored * len(phases) + phase_of) * len(bins) + bin_of,
+        forward=windows * np.where(delta == 0, 1.0, 2.0)[:, None, None],
+        backward=np.ascontiguousarray(windows.transpose(0, 2, 1)),
+        phases=np.concatenate([base, base * np.repeat((-1.0) ** delta, 2)]))
 
 
 def _fit_result(problem: _BinnedProblem, rho: np.ndarray, history: list,
@@ -444,8 +462,9 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
     rho <- normalize(R rho R) with R = sum_j (f_j / p_j) Pi_j over the
     observed cells, which never decreases the binned log-likelihood.
     Each Pi_j factors into a real symmetric window matrix and a phase
-    rotation, so an iteration costs two real products with the
-    (n_bins, d(d+1)/2) upper triangles of the window matrices and never
+    rotation that depends only on the diagonal offset n - m, and the bin at
+    -x is the bin at x times (-1)^(n - m); so an iteration is a few real
+    products with the offset-major windows of the x >= 0 bins and never
     forms the complex POVM stack.
     Cell probabilities are floored at 1e-12 and R is dampened with a
     1e-12 identity so empty-model cells cannot produce divisions by
@@ -462,7 +481,7 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
             correction models.
         storage_transmission: storage-loss transmission composed into
             the 'detection+storage' model.
-        max_iter: iteration cap, >= 1.
+        max_iter: iteration cap, an integer >= 1.
         tol_per_sample: stop once the per-sample log-likelihood gain
             falls below this; -inf runs to max_iter.
 
@@ -475,12 +494,12 @@ def maxlik_reconstruct(data: HomodyneDataset, cutoff: FockCutoff,
         ConvergenceError: dataset smaller than the basis dimension
             (under-determined problem), or a non-finite estimate.
         DomainError: unknown efficiency model, an efficiency it uses
-            outside (0, 1], samples outside [-12, 12], max_iter < 1, or a
-            tol_per_sample that is NaN or +inf.
+            outside (0, 1], samples outside [-12, 12], a max_iter that is
+            not an integer >= 1, or a tol_per_sample that is NaN or +inf.
     """
     problem = _binned_problem(data, cutoff, efficiency_model, eta_detection,
                               storage_transmission, max_iter, tol_per_sample)
-    (outcome,) = problem.fit(problem.counts()[None])
+    ((_, *outcome),) = problem.fit([problem.counts()])
     return _fit_result(problem, *outcome)
 
 
@@ -503,10 +522,11 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
     Each resample redraws the dataset with replacement and is fitted as
     maxlik_reconstruct would fit it; every statistic is evaluated on the
     resulting ReconstructionResult. The data are validated and binned
-    once; a resample is the count table of its redrawn cells, and
-    RESAMPLE_BLOCK resamples are fitted together. Per-resample RNG
-    streams are spawned from ``rng`` in resample order, so results are
-    deterministic under a fixed master seed.
+    once; a resample is the count table of its redrawn cells, and up to
+    RESAMPLE_BLOCK resamples are fitted together, the next one taking the
+    slot of each that stops. Per-resample RNG streams are spawned from
+    ``rng`` in resample order, so results are deterministic under a fixed
+    master seed.
 
     Args:
         data: original dataset.
@@ -534,28 +554,28 @@ def bootstrap_many(data: HomodyneDataset, n_resamples: int, statistics: dict,
     settings.apply_defaults()
     problem = _binned_problem(*settings.args)
     n = len(data)
-    values = {name: [] for name in statistics}
-    n_failed = 0
-    for start in range(0, n_resamples, RESAMPLE_BLOCK):
-        # spawning block by block continues the same child sequence
-        streams = rng.spawn(min(RESAMPLE_BLOCK, n_resamples - start))
-        counts = np.stack([problem.counts(stream.integers(0, n, size=n))
-                           for stream in streams])
-        for outcome in problem.fit(counts):
-            try:
-                result = _fit_result(problem, *outcome)
-            except ConvergenceError:
-                n_failed += 1
-                continue
-            for name, statistic in statistics.items():
-                values[name].append(float(statistic(result)))
+    # one child stream per resample, spawned as the fit loop takes it:
+    # spawn(1) k times gives the streams spawn(k) gives
+    tables = (problem.counts(rng.spawn(1)[0].integers(0, n, size=n))
+              for _ in range(n_resamples))
+    values = {name: np.empty(n_resamples) for name in statistics}
+    fitted = np.zeros(n_resamples, dtype=bool)
+    for index, *outcome in problem.fit(tables):
+        try:
+            result = _fit_result(problem, *outcome)
+        except ConvergenceError:
+            continue
+        fitted[index] = True
+        for name, statistic in statistics.items():
+            values[name][index] = float(statistic(result))
+    n_failed = int(np.count_nonzero(~fitted))
     if n_failed > 0.1 * n_resamples:
         raise ConvergenceError(
             f"bootstrap failed: {n_failed}/{n_resamples} resamples did not "
             f"reconstruct")
     out = {}
     for name, vals in values.items():
-        arr = np.array(vals)
+        arr = vals[fitted]
         lo, hi = np.percentile(arr, [2.5, 97.5])
         out[name] = BootstrapResult(
             mean=float(arr.mean()),

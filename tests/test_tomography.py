@@ -19,9 +19,9 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       save_dataset_csv, single_photon_state, squeeze_matrix,
                       uniform_phases, write_density_csv, write_meta)
 from catbreed.fock import StateVector, _phase_rotation
-from catbreed.tomography import (RESAMPLE_BLOCK, _bin_edges, _binned_povm,
-                                 _cell_probabilities, _likelihood_operator,
-                                 _upper_triangle)
+from catbreed.optics import _window_antiderivative
+from catbreed.tomography import (HALF_BINS, RESAMPLE_BLOCK, _bin_edges,
+                                 _binned_povm, _binned_problem)
 import catbreed.tomography as tomo
 from conftest import random_density, reference_window_matrix, smear_povm
 
@@ -300,6 +300,23 @@ def test_maxlik_rejects_iteration_cap_below_one():
     assert result.stop_reason == "max_iterations"
 
 
+def test_maxlik_rejects_a_non_integral_iteration_cap():
+    # range() would raise a raw TypeError for a float, a loop comparing
+    # counts would run 10.5 as 11 iterations, and True would run one
+    vac = fock_state(0, FockCutoff(4)).to_density()
+    data = sample_homodyne_phases(vac, uniform_phases(4), 400,
+                                  np.random.default_rng(54))
+    stat = {"p0": lambda r: float(r.rho_hat.populations()[0])}
+    for max_iter in (10.5, np.float64(3.0), True, "3", None):
+        with pytest.raises(DomainError, match="max_iter must be an integer"):
+            maxlik_reconstruct(data, FockCutoff(4), max_iter=max_iter)
+        with pytest.raises(DomainError, match="max_iter must be an integer"):
+            bootstrap_many(data, 50, stat, np.random.default_rng(0),
+                           cutoff=FockCutoff(4), max_iter=max_iter)
+    result = maxlik_reconstruct(data, FockCutoff(4), max_iter=np.int64(3))
+    assert result.iterations == 3 and result.stop_reason == "max_iterations"
+
+
 def test_maxlik_rejects_nan_and_infinite_tolerance():
     # a NaN gain test never fires and +inf fires at once; both are refused
     # before any work (this dataset is also too small to fit). -inf, which
@@ -349,31 +366,71 @@ def test_maxlik_estimate_is_phase_covariant():
     np.testing.assert_allclose(moved.matrix, conjugated, atol=1e-8)
 
 
+def offset_major(windows):
+    """Wd[delta, m, b] = windows[b, m, m + delta], zero where m + delta >= d:
+    the layout _binned_povm caches."""
+    n_bins, d, _ = windows.shape
+    out = np.zeros((d, d, n_bins))
+    for delta in range(d):
+        m = np.arange(d - delta)
+        out[delta, m] = windows[:, m, m + delta].T
+    return out
+
+
+def parity(d):
+    n = np.arange(d)
+    return (-1.0) ** (n[:, None] + n)
+
+
 def full_windows(d, eta):
-    """The (n_bins, d, d) window matrices whose upper triangles
-    _binned_povm holds."""
-    rows, cols, _ = _upper_triangle(d)
-    upper = _binned_povm(d, eta)
-    windows = np.empty((len(upper), d, d))
-    windows[:, rows, cols] = upper
-    windows[:, cols, rows] = upper
-    return windows
+    """The (n_bins, d, d) window matrices of every x-bin: the x >= 0 half
+    that _binned_povm holds, and its mirror."""
+    half = _binned_povm(d, eta)
+    upper = np.zeros((half.shape[2], d, d))
+    for delta in range(d):
+        m = np.arange(d - delta)
+        upper[:, m, m + delta] = half[delta, m].T
+    windows = upper + np.triu(upper, 1).swapaxes(1, 2)
+    return np.concatenate([windows[::-1] * parity(d), windows])
 
 
 def test_binned_povm_resolves_identity():
     d = 13
     for eta in (1.0, 0.76):
         windows = full_windows(d, eta)
+        assert len(windows) == len(_bin_edges()) - 1
         for theta in (0.0, 0.5, 1.1):
             total = (windows * _phase_rotation(theta, d)).sum(axis=0)
             np.testing.assert_allclose(total, np.eye(d), atol=1e-8)
 
 
+@pytest.mark.parametrize("d, atol", [(5, 1e-15), (13, 1e-15), (61, 4e-15)])
+def test_binned_povm_mirror_bins_are_its_bins_times_parity(d, atol):
+    # the kernel keeps only the x >= 0 bins and takes bin 201 - j as
+    # (-1)^(m+n) times bin j: psi_n(-x) = (-1)^n psi_n(x) and loss keeps
+    # parity. On exactly mirrored edges the closed form gives exactly that;
+    # the linspace edges mirror only to 1.8e-15, which moves the bins by
+    # up to 5.0e-16, 6.7e-16 and 3.2e-15 at d = 5, 13 and 61
+    edges = _bin_edges()
+    below = [_window_antiderivative(d, x) for x in edges]
+    mirror = [_window_antiderivative(d, -x) for x in edges[HALF_BINS:]]
+    for eta in (1.0, 0.76, 0.639):
+        windows = np.stack([smear_povm(hi - lo, eta)
+                            for lo, hi in zip(below[:-1], below[1:])])
+        np.testing.assert_allclose(windows[::-1] * parity(d), windows,
+                                   rtol=0, atol=atol)
+        # the bin [-hi, -lo] is A(-lo) - A(-hi)
+        exact = np.stack([smear_povm(lo - hi, eta)
+                          for lo, hi in zip(mirror[:-1], mirror[1:])])
+        assert np.array_equal(exact * parity(d), windows[HALF_BINS:])
+        assert np.array_equal(_binned_povm(d, eta),
+                              offset_major(windows[HALF_BINS:]))
+
+
 def test_binned_povm_peak_memory_is_about_its_output():
-    # the edges are walked one at a time: beyond the returned triangles
-    # only a few d x d matrices are live (stacking every edge's
-    # antiderivative at once would peak at about 14x the output)
-    _upper_triangle(61)
+    # the edges are walked one at a time: beyond the returned windows only
+    # a few d x d matrices are live (stacking every edge's antiderivative
+    # at once would peak at about 14x the output)
     gc.collect()
     tracemalloc.start()
     try:
@@ -384,41 +441,54 @@ def test_binned_povm_peak_memory_is_about_its_output():
     assert peak <= 1.5 * windows.nbytes
 
 
-def test_factored_kernel_matches_dense_povm_stack():
-    # the kernel never forms the (n_phases * n_bins, d, d) POVM stack and
-    # reads only the upper triangles of W_b, rot_k and rho; build that
-    # stack here from the quadrature oracle and contract it directly, for
-    # a stack of two states. The kernel reads the oracle's own triangles:
-    # the closed-form bins differ from the oracle's by round-off (measured
+def test_factored_kernel_matches_dense_povm_stack(monkeypatch):
+    # the kernel never forms the (n_phases * n_bins, d, d) POVM stack: it
+    # reads W_b by diagonal offset, for the x >= 0 bins only, and rho's
+    # upper triangle. Build that stack here over every bin from the
+    # quadrature oracle and contract it directly, for a stack of two
+    # states. The kernel reads the oracle's own x >= 0 windows: the
+    # closed-form bins differ from the oracle's by round-off (measured
     # 7.3e-16), which 606 weighted cells would add up past the kernel's
     # 1e-14, so _binned_povm is held to the oracle on its own
     d = 13
     rng = np.random.default_rng(57)
     a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
     rho = (a + a.conj().swapaxes(1, 2)) / 2.0
-    phases = (0.0, 0.5, 1.1)
-    rows, cols, _ = _upper_triangle(d)
-    rotations = np.stack([_phase_rotation(t, d)[rows, cols] for t in phases])
+    phases = np.array([0.0, 0.5, 1.1])
     edges = _bin_edges()
+    n_bins = len(edges) - 1
+    # one sample in every (phase, x-bin) cell
+    centres = (edges[:-1] + edges[1:]) / 2.0
+    data = HomodyneDataset(np.repeat(phases, n_bins), np.tile(centres, 3))
     for eta in (1.0, 0.76):
         base = np.stack([
             smear_povm(np.array(reference_window_matrix(d, lo, hi),
                                 dtype=complex), eta)
             for lo, hi in zip(edges[:-1], edges[1:])])
         stack = np.concatenate([base * _phase_rotation(t, d) for t in phases])
-        windows = base.real[:, rows, cols]
-        np.testing.assert_allclose(_binned_povm(d, eta), windows, rtol=0,
+        oracle = offset_major(base.real[HALF_BINS:])
+        np.testing.assert_allclose(_binned_povm(d, eta), oracle, rtol=0,
                                    atol=2e-15)
+        monkeypatch.setattr(tomo, "_binned_povm", lambda *_: oracle)
+        problem = _binned_problem(data, FockCutoff(d - 1), "detection", eta, 1.0,
+                                  10, 1e-10)
+        assert np.array_equal(problem.counts(), np.ones((6, HALF_BINS)))
 
-        probs = _cell_probabilities(rho, windows, rotations)
-        assert probs.shape == (2, len(phases), len(edges) - 1)
+        def dense_order(table):
+            """(rows, fits, base bins) -> (fits, phase-major cells)"""
+            x_ge_0, x_lt_0 = table[:3], table[3:, :, ::-1]
+            return np.concatenate([x_lt_0, x_ge_0], axis=2).transpose(
+                1, 0, 2).reshape(2, -1)
+
+        probs = problem.probabilities(rho)
+        assert probs.shape == (6, 2, HALF_BINS)
         dense = np.real(np.einsum("jmn,inm->ij", stack, rho))
-        np.testing.assert_allclose(probs.reshape(2, -1), dense, rtol=0,
+        np.testing.assert_allclose(dense_order(probs), dense, rtol=0,
                                    atol=1e-14)
 
         weights = rng.normal(size=probs.shape)
-        R = _likelihood_operator(weights, windows, rotations)
-        dense = np.einsum("ij,jmn->imn", weights.reshape(2, -1), stack)
+        R = problem.likelihood_operator(weights)
+        dense = np.einsum("ij,jmn->imn", dense_order(weights), stack)
         np.testing.assert_allclose(R, dense, rtol=0, atol=1e-14)
 
 
@@ -652,6 +722,52 @@ def test_bootstrap_many_matches_the_per_resample_loop(case):
         np.testing.assert_allclose(
             [result.mean, result.std, result.ci_low, result.ci_high],
             [arr.mean(), arr.std(ddof=1), lo, hi], rtol=0, atol=1e-12)
+
+
+def test_bootstrap_many_does_not_depend_on_the_fit_width(monkeypatch):
+    # a fit that stops frees its slot for the next resample, so at widths 5
+    # and 16 resamples finish out of order; at width 1 each runs alone.
+    # The cap of 150 iterations stops about one resample in four
+    truth = single_photon_state(0.87, 0.0, FockCutoff(4))
+    data = sample_homodyne_phases(truth, uniform_phases(4), 400,
+                                  np.random.default_rng(67))
+    real_fit = tomo._BinnedProblem.fit
+    order = []
+
+    def recording_fit(self, tables):
+        for outcome in real_fit(self, tables):
+            order.append(outcome[0])
+            yield outcome
+
+    monkeypatch.setattr(tomo._BinnedProblem, "fit", recording_fit)
+    runs = {}
+    for width in (1, 5, 16):
+        monkeypatch.setattr(tomo, "RESAMPLE_BLOCK", width)
+        order.clear()
+        runs[width] = bootstrap_many(data, 53, ORACLE_STATISTICS,
+                                     np.random.default_rng(13),
+                                     cutoff=FockCutoff(4), max_iter=150)
+        assert sorted(order) == list(range(53))
+        assert (order == sorted(order)) == (width == 1)
+    want = runs[1]
+    assert 0 < sum(want["converged"].values) < 53
+    for width in (5, 16):
+        got = runs[width]
+        assert got["iterations"].values == want["iterations"].values
+        assert got["converged"].values == want["converged"].values
+        for name, result in want.items():
+            np.testing.assert_allclose(got[name].values, result.values,
+                                       rtol=0, atol=1e-12)
+
+
+def test_spawning_one_stream_at_a_time_gives_the_same_streams():
+    # bootstrap_many spawns each resample's stream as the fit loop takes it
+    one_by_one = np.random.default_rng(14)
+    streams = [one_by_one.spawn(1)[0] for _ in range(7)]
+    together = np.random.default_rng(14).spawn(7)
+    for a, b in zip(streams, together):
+        assert np.array_equal(a.integers(0, 1000, size=20),
+                              b.integers(0, 1000, size=20))
 
 
 def test_bootstrap_memory_does_not_grow_with_resamples():
