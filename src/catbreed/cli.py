@@ -39,7 +39,7 @@ from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        pipeline_states, simulate_timeline, write_curve_csv,
                        write_event_log)
-from .tomography import (MIN_RESAMPLES, _check_sample_request, _write_csv,
+from .tomography import (MIN_RESAMPLES, _write_csv,
                          bootstrap_many, load_dataset_csv, maxlik_reconstruct,
                          read_density_csv, sample_homodyne_phases,
                          save_dataset_csv, uniform_phases, write_density_csv,
@@ -170,16 +170,15 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, num)
 
 
-def _parse_phase_spec(spec: str, total_count: int) -> np.ndarray:
-    """A phase count ('12'), refused before it allocates when the
-    ``total_count`` samples cannot cover it, or explicit radians ('0,0.26,...')."""
+def _parse_phase_spec(spec: str) -> np.ndarray:
+    """A phase count ('12'), which uniform_phases refuses before it allocates
+    when it is not 1 to MAX_SAMPLES, or explicit radians ('0,0.26,...')."""
     if "," not in spec:
         try:
             count = int(spec)
         except ValueError:
             pass
         else:
-            _check_sample_request(count, total_count)
             return uniform_phases(count)
     try:
         return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
@@ -314,7 +313,7 @@ def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
 
 
 def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
-    phases = _parse_phase_spec(args.phases, args.count)
+    phases = _parse_phase_spec(args.phases)
     if args.state_file is not None:
         state = read_density_csv(args.state_file)
         source = str(args.state_file)
@@ -474,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--phases", default="12",
                      help="phase count or comma-separated radians")
     sub.add_argument("--phase-noise-sigma", dest="phase_noise_sigma",
-                     type=float, default=0.0)
+                     type=float, default=0.0,
+                     help="std of Gaussian local-oscillator phase jitter, in radians")
     sub.set_defaults(func=cmd_sample)
 
     sub = subs.add_parser("tomography", help="reconstruct a state from data")

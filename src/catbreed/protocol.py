@@ -214,14 +214,23 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
     return float(beta)
 
 
+# per-gap states, 16 bytes a matrix entry, stay below the other caps' 0.9 GB
+MAX_WINDOW_BYTES = 900_000_000
+
+
 @lru_cache(maxsize=2)
 def _window_components(config: ProtocolConfig):
     """Per-gap breeding outcomes for every storage length in the window.
 
     Returns a tuple of (n, heralded DensityOperator, herald probability)
     with the first photon degraded by n round trips and the second
-    photon fresh.
+    photon fresh; refused, before the first breed, above MAX_WINDOW_BYTES.
     """
+    size = (config.n_max - config.n_min + 1) * config.cutoff.dimension ** 2 * 16
+    if size > MAX_WINDOW_BYTES:
+        raise DomainError(
+            f"storage window [{config.n_min}, {config.n_max}] would hold {size / 1e9:.3g} GB "
+            f"of per-gap states, above {MAX_WINDOW_BYTES / 1e9:g} GB")
     fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight,
                                 config.cutoff)
     eta_cond = config.conditioning_efficiency
@@ -250,8 +259,8 @@ def _heralded_mixture(config: ProtocolConfig,
     """Creation state and mean herald probability for storage depth
     ``n_max`` <= config.n_max: the per-gap outcomes mixed by the in-window
     gap law."""
-    weights = _gap_weights(config, n_max)
     comps = _window_components(config)[:n_max - config.n_min + 1]
+    weights = _gap_weights(config, n_max)
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
     p_mean = 0.0
     for w, (_, state, prob) in zip(weights, comps):
@@ -402,14 +411,7 @@ def simulate_timeline(config: ProtocolConfig,
         raise DomainError(
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
-    rng = np.random.default_rng(config.rng_seed)
-    n_pulses = int(round(duration_s * config.f_rep))
-    heralds = _herald_pulses(rng, config.p_trip, n_pulses)
-
-    n_cycles = len(heralds) // 3
-    u_live = rng.random(n_cycles)
-    u_cond = rng.random(n_cycles)
-
+    # bred before anything is drawn, so an oversized window draws nothing
     comps = _window_components(config)
     p_cond = np.array([prob for _, _, prob in comps])
     target = target_cat(TargetCatSpec(), config.cutoff)
@@ -419,6 +421,14 @@ def simulate_timeline(config: ProtocolConfig,
             target)
         for _, state, _ in comps
     ])
+
+    rng = np.random.default_rng(config.rng_seed)
+    n_pulses = int(round(duration_s * config.f_rep))
+    heralds = _herald_pulses(rng, config.p_trip, n_pulses)
+
+    n_cycles = len(heralds) // 3
+    u_live = rng.random(n_cycles)
+    u_cond = rng.random(n_cycles)
 
     h1, h2, h3 = heralds[:3 * n_cycles].reshape(n_cycles, 3).T
     gap = h2 - h1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -92,62 +91,6 @@ def _inverse_cdf_table(rho: DensityOperator, theta: float):
     return xg, cdf
 
 
-def sample_homodyne(rho: DensityOperator, theta: float, count: int,
-                    rng: np.random.Generator,
-                    phase_noise_sigma: float = 0.0) -> HomodyneDataset:
-    """Draw i.i.d. quadrature samples at one homodyne phase.
-
-    Sampling inverts the cumulative marginal on a fixed grid (span
-    [-12, 12], 4096 points, linear interpolation). With
-    ``phase_noise_sigma`` > 0 the true measurement phase jitters around
-    ``theta`` (discretized to 64 jitter bins) while the recorded phase
-    stays ``theta`` -- a robustness knob, off by default.
-
-    Args:
-        rho: state to measure.
-        theta: homodyne phase in radians, finite.
-        count: number of samples, >= 1.
-        rng: NumPy random generator (determinism contract: same seed,
-            same dataset).
-        phase_noise_sigma: standard deviation of the phase jitter in
-            radians, finite and >= 0.
-
-    Returns:
-        HomodyneDataset of ``count`` samples, all at phase ``theta``.
-    """
-    if count < 1:
-        raise DomainError(f"sample count must be >= 1, got {count}")
-    if not math.isfinite(theta):
-        raise DomainError(f"homodyne phase must be finite, got {theta}")
-    if not 0.0 <= phase_noise_sigma < np.inf:
-        raise DomainError(f"phase noise sigma must be finite and >= 0, "
-                          f"got {phase_noise_sigma}")
-    if phase_noise_sigma == 0.0:
-        xg, cdf = _inverse_cdf_table(rho, theta)
-        xs = np.interp(rng.random(count), cdf, xg)
-        return HomodyneDataset(np.full(count, theta), xs)
-
-    jitter = rng.normal(0.0, phase_noise_sigma, size=count)
-    edges = np.quantile(jitter, np.linspace(0.0, 1.0, 65))
-    which = np.clip(np.searchsorted(edges, jitter, side="right") - 1, 0, 63)
-    xs = np.empty(count)
-    for b in range(64):
-        mask = which == b
-        if not mask.any():
-            continue
-        delta = float(jitter[mask].mean())
-        xg, cdf = _inverse_cdf_table(rho, theta + delta)
-        xs[mask] = np.interp(rng.random(int(mask.sum())), cdf, xg)
-    return HomodyneDataset(np.full(count, theta), xs)
-
-
-def uniform_phases(n_phases: int) -> np.ndarray:
-    """n equally spaced homodyne phases covering [0, pi)."""
-    if n_phases < 1:
-        raise DomainError("need at least one phase")
-    return np.arange(n_phases) * np.pi / n_phases
-
-
 # a `catbreed sample` run peaks at about 160 bytes per sample, so the largest
 # request this cap accepts stays below 0.9 GB
 MAX_SAMPLES = 5_000_000
@@ -160,22 +103,55 @@ def _check_sample_request(n_phases: int, total_count: int) -> None:
                           f"{MAX_SAMPLES} samples, got {total_count} at {n_phases} phases")
 
 
+def uniform_phases(n_phases: int) -> np.ndarray:
+    """n equally spaced homodyne phases covering [0, pi), no more than MAX_SAMPLES."""
+    _check_sample_request(n_phases, n_phases)
+    return np.arange(n_phases) * np.pi / n_phases
+
+
 def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
                            total_count: int, rng: np.random.Generator,
                            phase_noise_sigma: float = 0.0) -> HomodyneDataset:
-    """Split ``total_count`` samples, at most MAX_SAMPLES, across phases
-    (earlier phases take the remainder) and concatenate them."""
+    """Split ``total_count`` samples, at least one per phase and at most
+    MAX_SAMPLES, across the finite ``phases`` (earlier phases take the
+    remainder) and draw each phase's share by inverting its cumulative
+    marginal on a fixed grid (span [-12, 12], 4096 points, linear
+    interpolation) at ``rng.random`` uniforms; the request, the phases and
+    sigma are checked before anything is drawn.
+
+    Gaussian jitter of the measured phase, ``phase_noise_sigma`` radians
+    (finite, >= 0) of standard deviation, averages each marginal into that
+    of the dephased state rho_mn exp(-sigma^2 (n - m)^2 / 2): the jitter is
+    exact, draws the noiseless run's uniforms and leaves the recorded
+    phases as they are. At sigma = 0 the factor is exactly 1.
+    """
+    phases = np.asarray(phases, dtype=float)
     _check_sample_request(len(phases), total_count)
     finite = np.isfinite(phases)
     if not finite.all():
         raise DomainError(f"homodyne phase must be finite, got "
                           f"{phases[np.argmin(finite)]}")
+    if not 0.0 <= phase_noise_sigma < np.inf:
+        raise DomainError(f"phase noise sigma must be finite and >= 0, "
+                          f"got {phase_noise_sigma}")
+    n = np.arange(rho.dimension)
+    # the factor is 0.0 past sigma |n - m| = 40; the clip keeps the square finite
+    spread = np.minimum(phase_noise_sigma * abs(n[:, None] - n), 40.0)
+    dephased = DensityOperator(rho.matrix * np.exp(-0.5 * spread ** 2), rho.cutoff)
     base, extra = divmod(total_count, len(phases))
-    parts = [sample_homodyne(rho, float(th), base + (1 if k < extra else 0),
-                             rng, phase_noise_sigma)
-             for k, th in enumerate(phases)]
-    return HomodyneDataset(np.concatenate([p.thetas for p in parts]),
-                           np.concatenate([p.xs for p in parts]))
+    counts = base + (np.arange(len(phases)) < extra)
+    tables = [_inverse_cdf_table(dephased, theta) for theta in phases.tolist()]
+    xs = [np.interp(rng.random(count), cdf, xg)
+          for (xg, cdf), count in zip(tables, counts.tolist())]
+    return HomodyneDataset(np.repeat(phases, counts), np.concatenate(xs))
+
+
+def sample_homodyne(rho: DensityOperator, theta: float, count: int,
+                    rng: np.random.Generator,
+                    phase_noise_sigma: float = 0.0) -> HomodyneDataset:
+    """``count`` samples at the one phase ``theta``: sample_homodyne_phases
+    at [theta], with its checks and its MAX_SAMPLES cap."""
+    return sample_homodyne_phases(rho, [theta], count, rng, phase_noise_sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,21 @@ def test_sample_refuses_oversized_requests_before_they_allocate(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--n-max-values", "1,10000000"],
+    ["simulate", "--duration-s", "0.01", "--n-max", "10000000"],
+    ["sample", "--n-max", "10000000"],
+    ["wigner", "--pipeline", "--n-max", "10000000"],
+], ids=["curve", "simulate", "sample", "wigner"])
+def test_oversized_storage_windows_exit_2_before_they_breed(tmp_path, capsys, argv):
+    # 1e7 gaps of per-gap states at cutoff 20 would hold about 70.6 GB
+    out = tmp_path / "run"
+    code, _, err = run_cli([*argv, "--output-dir", str(out)], capsys)
+    assert code == 2
+    assert "70.6 GB of per-gap states" in err
+    assert not out.exists()
+
+
 def test_tomography_bootstrap_report(tmp_path, capsys):
     state_path = tmp_path / "vacuum.csv"
     write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
@@ -556,6 +571,7 @@ def tiny_tomography(tmp_path, out) -> list:
                                   "bootstrap_grid", "nan_tol", "inf_tol",
                                   "negative_sigma", "empty_phases",
                                   "zero_phases", "negative_phases",
+                                  "more_phases_than_samples",
                                   "infinite_phase", "nan_phase",
                                   "infinite_grid", "huge_duration",
                                   "infinite_f_rep", "nan_f_herald",
@@ -614,6 +630,9 @@ def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, case):
         "negative_phases": ["sample", "--output-dir", str(out),
                             "--state-file", str(state_path), "--count", "40",
                             "--phases", "-3"],
+        "more_phases_than_samples": ["sample", "--output-dir", str(out),
+                                     "--state-file", str(state_path),
+                                     "--count", "3", "--phases", "4"],
         "infinite_phase": ["sample", "--output-dir", str(out), "--state-file",
                            str(state_path), "--count", "40", "--phases",
                            "inf"],

@@ -14,8 +14,9 @@ from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                       pipeline_states, simulate_timeline, storage_evolve,
                       target_cat, window_probability, write_curve_csv,
                       write_event_log)
-from catbreed.protocol import (MAX_EXPECTED_HERALDS, _herald_pulses,
-                               _window_components)
+import catbreed.protocol as protocol
+from catbreed.protocol import (MAX_EXPECTED_HERALDS, MAX_WINDOW_BYTES,
+                               _herald_pulses, _window_components)
 from conftest import random_density
 
 CFG = ProtocolConfig()
@@ -366,6 +367,37 @@ def test_timeline_refuses_oversized_runs_before_they_allocate():
     assert peak < 100_000
     # criterion 5's 0.5 s run stays far below the cap
     assert CFG.f_herald * 0.5 < MAX_EXPECTED_HERALDS / 10
+
+
+def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatch):
+    # 1e7 gaps of 21 x 21 complex states would hold about 70.6 GB
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the storage window was checked")
+
+    monkeypatch.setattr(protocol, "breed", unreachable)
+    monkeypatch.setattr(protocol, "_herald_pulses", unreachable)
+    wide = replace(CFG, n_max=10 ** 7)
+    calls = [lambda: pipeline_states(wide),
+             lambda: fidelity_vs_storage_curve(CFG, [1, 10 ** 7]),
+             lambda: simulate_timeline(wide, 0.01)]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(DomainError, match="70.6 GB of per-gap states"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the cap is (n_max - n_min + 1) (cutoff + 1)^2 16 bytes: the widest
+    # window it accepts goes on to breed, one gap more is refused
+    widest = MAX_WINDOW_BYTES // (21 ** 2 * 16)
+    with pytest.raises(AssertionError, match="storage window was checked"):
+        _window_components(replace(CFG, n_max=widest))
+    with pytest.raises(DomainError, match="per-gap states"):
+        _window_components(replace(CFG, n_max=widest + 1))
+    # the default 15-gap window stays far below the cap
+    assert 15 * 21 ** 2 * 16 < MAX_WINDOW_BYTES / 1000
 
 
 def reference_timeline(config: ProtocolConfig, duration_s: float):

@@ -18,7 +18,7 @@ from catbreed import (AcceptanceWindow, ConfigError, ConvergenceError,
                       read_meta, sample_homodyne, sample_homodyne_phases,
                       save_dataset_csv, single_photon_state, squeeze_matrix,
                       uniform_phases, write_density_csv, write_meta)
-from catbreed.fock import StateVector, _phase_rotation
+from catbreed.fock import StateVector, _phase_rotation, annihilation_matrix
 from catbreed.optics import _window_antiderivative
 from catbreed.tomography import (HALF_BINS, RESAMPLE_BLOCK, _bin_edges,
                                  _binned_povm, _binned_problem)
@@ -190,6 +190,55 @@ def test_phase_noise_broadens_a_squeezed_quadrature():
     assert np.var(noisy.xs) > 2.0 * np.var(clean.xs)
 
 
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0])
+def test_phase_noise_samples_the_dephased_state(sigma):
+    # Gaussian LO jitter of std sigma turns rho_mn into
+    # rho_mn exp(-sigma^2 (n - m)^2 / 2); its x variance is also the
+    # closed form 0.5 [e^{-2r} (1 + e^{-2 sigma^2}) + e^{2r} (1 - e^{-2 sigma^2})] / 2
+    cut = FockCutoff(30)
+    amps = squeeze_matrix(6.0, cut) @ fock_state(0, cut).amplitudes
+    rho = StateVector(amps, cut).to_density()
+    n = np.arange(cut.dimension)
+    dephased = rho.matrix * np.exp(-0.5 * (sigma * (n[:, None] - n)) ** 2)
+    a = annihilation_matrix(cut.dimension)
+    x = (a + a.conj().T) / np.sqrt(2.0)
+    mean = np.trace(dephased @ x).real
+    variance = np.trace(dephased @ x @ x).real - mean ** 2
+    kept = np.exp(-2.0 * sigma ** 2)
+    closed = 0.25 * (10 ** -0.6 * (1 + kept) + 10 ** 0.6 * (1 - kept))
+    assert variance == pytest.approx(closed, abs=1e-6)
+
+    xs = sample_homodyne(rho, 0.0, 200_000, np.random.default_rng(45),
+                         phase_noise_sigma=sigma).xs
+    centred = xs - xs.mean()
+    se = np.sqrt((np.mean(centred ** 4) - np.var(xs) ** 2) / len(xs))
+    assert abs(np.var(xs) - variance) < 5 * se
+
+
+def test_phase_noise_draws_from_the_noiseless_uniforms():
+    # the jitter is in the marginal, not in extra draws: equal seeds give
+    # samples in the same rank order, and the generator ends where it would
+    rho = bred_test_state()
+    streams = [np.random.default_rng(46) for _ in range(2)]
+    clean = sample_homodyne(rho, 0.3, 5000, streams[0])
+    noisy = sample_homodyne(rho, 0.3, 5000, streams[1], phase_noise_sigma=0.5)
+    assert not np.array_equal(clean.xs, noisy.xs)
+    np.testing.assert_array_equal(np.argsort(clean.xs, kind="stable"),
+                                  np.argsort(noisy.xs, kind="stable"))
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state
+
+
+def test_huge_phase_noise_samples_the_fully_dephased_state():
+    # any sigma past about 40 leaves only the populations; 1e200 must not
+    # overflow on the way there
+    rho = bred_test_state()
+    populations = DensityOperator(np.diag(rho.populations()), rho.cutoff)
+    noisy = sample_homodyne(rho, 0.3, 500, np.random.default_rng(47),
+                            phase_noise_sigma=1e200)
+    flat = sample_homodyne(populations, 0.3, 500, np.random.default_rng(47))
+    np.testing.assert_array_equal(noisy.xs, flat.xs)
+
+
 def test_uniform_phases_cover_half_turn():
     phases = uniform_phases(12)
     np.testing.assert_allclose(phases, np.arange(12) * np.pi / 12)
@@ -219,6 +268,12 @@ def test_sampling_refuses_oversized_requests_before_they_allocate():
         with pytest.raises(DomainError, match="at most 5000000"):
             sample_homodyne_phases(vac, uniform_phases(4), 10 ** 12,
                                    np.random.default_rng(0))
+        # the one-phase entry point and the phase grid share the cap
+        for count in (tomo.MAX_SAMPLES + 1, 10 ** 12):
+            with pytest.raises(DomainError, match="at most 5000000"):
+                sample_homodyne(vac, 0.0, count, np.random.default_rng(0))
+        with pytest.raises(DomainError, match="at most 5000000"):
+            uniform_phases(10 ** 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
