@@ -39,7 +39,7 @@ from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
                        pipeline_states, simulate_timeline, write_curve_csv,
                        write_event_log)
-from .tomography import (MIN_RESAMPLES, _write_csv,
+from .tomography import (MIN_RESAMPLES, _check_sample_request, _write_csv,
                          bootstrap_many, load_dataset_csv, maxlik_reconstruct,
                          read_density_csv, sample_homodyne_phases,
                          save_dataset_csv, uniform_phases, write_density_csv,
@@ -314,6 +314,7 @@ def cmd_simulate(args, config: ProtocolConfig, settings: dict) -> dict:
 
 def cmd_sample(args, config: ProtocolConfig, settings: dict) -> dict:
     phases = _parse_phase_spec(args.phases)
+    _check_sample_request(len(phases), args.count)
     if args.state_file is not None:
         state = read_density_csv(args.state_file)
         source = str(args.state_file)

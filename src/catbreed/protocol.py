@@ -246,10 +246,6 @@ def _gap_weights(config: ProtocolConfig, n_max: int) -> np.ndarray:
     """Geometric gap probabilities restricted to [n_min, n_max], normalized."""
     n = np.arange(config.n_min, n_max + 1)
     p = config.p_trip
-    if p == 0.0:
-        raise DomainError(
-            "f_herald is 0: no photon is ever heralded, so the heralded "
-            "mixture over storage lengths is undefined")
     w = (1.0 - p) ** (n - 1) * p
     return w / w.sum()
 
@@ -258,7 +254,11 @@ def _heralded_mixture(config: ProtocolConfig,
                       n_max: int) -> tuple[DensityOperator, float]:
     """Creation state and mean herald probability for storage depth
     ``n_max`` <= config.n_max: the per-gap outcomes mixed by the in-window
-    gap law."""
+    gap law; refused at f_herald = 0, before anything is bred."""
+    if config.p_trip == 0.0:
+        raise DomainError(
+            "f_herald is 0: no photon is ever heralded, so the heralded "
+            "mixture over storage lengths is undefined")
     comps = _window_components(config)[:n_max - config.n_min + 1]
     weights = _gap_weights(config, n_max)
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)

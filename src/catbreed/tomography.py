@@ -140,10 +140,12 @@ def sample_homodyne_phases(rho: DensityOperator, phases: np.ndarray,
     dephased = DensityOperator(rho.matrix * np.exp(-0.5 * spread ** 2), rho.cutoff)
     base, extra = divmod(total_count, len(phases))
     counts = base + (np.arange(len(phases)) < extra)
-    tables = [_inverse_cdf_table(dephased, theta) for theta in phases.tolist()]
-    xs = [np.interp(rng.random(count), cdf, xg)
-          for (xg, cdf), count in zip(tables, counts.tolist())]
-    return HomodyneDataset(np.repeat(phases, counts), np.concatenate(xs))
+    xs, start = np.empty(total_count), 0
+    for theta, count in zip(phases.tolist(), counts.tolist()):
+        xg, cdf = _inverse_cdf_table(dephased, theta)   # 64 kB, one at a time
+        xs[start:start + count] = np.interp(rng.random(count), cdf, xg)
+        start += count
+    return HomodyneDataset(np.repeat(phases, counts), xs)
 
 
 def sample_homodyne(rho: DensityOperator, theta: float, count: int,

@@ -431,9 +431,15 @@ def test_sample_from_state_file(tmp_path, capsys):
     (["--count", "1000000000000"], "at most 5000000"),
     # a billion phases for 17 000 samples: an 8 GB phase array
     (["--phases", "1000000000"], "one sample per phase"),
-], ids=["count", "phases"])
+    # more phases than samples, refused before the source state is bred
+    (["--phases", "20", "--count", "10"], "one sample per phase"),
+], ids=["count", "phases", "phases_above_count"])
 def test_sample_refuses_oversized_requests_before_they_allocate(
-        tmp_path, capsys, flags, message):
+        tmp_path, capsys, monkeypatch, flags, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the source state before the request was checked")
+
+    monkeypatch.setattr(cli, "pipeline_states", unreachable)
     out = tmp_path / "run"
     tracemalloc.start()
     try:

@@ -187,8 +187,13 @@ def test_pipeline_states_with_conditioning_inefficiency():
         0.556011684, abs=1e-6)
 
 
-def test_pipeline_states_need_heralds():
-    # without heralds the in-window gap law has no mass to normalize
+def test_pipeline_states_need_heralds(monkeypatch):
+    # without heralds the in-window gap law has no mass to normalize;
+    # the refusal comes before the first breed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bred before f_herald was checked")
+
+    monkeypatch.setattr(protocol, "breed", unreachable)
     silent = replace(CFG, f_herald=0.0)
     with pytest.raises(DomainError, match="f_herald"):
         pipeline_states(silent)

@@ -282,6 +282,21 @@ def test_sampling_refuses_oversized_requests_before_they_allocate():
     assert 17_000 < tomo.MAX_SAMPLES / 100
 
 
+def test_sampling_keeps_one_inverse_cdf_table_at_a_time():
+    # one sample at each of 1000 phases: 1000 live 64 kB tables would
+    # peak at about 66 MB, one at a time stays near one table
+    one = fock_state(1, FockCutoff(6)).to_density()
+    tracemalloc.start()
+    try:
+        data = sample_homodyne_phases(one, uniform_phases(1000), 1000,
+                                      np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 1000
+    assert peak < 4_000_000
+
+
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
