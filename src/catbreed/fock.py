@@ -131,15 +131,15 @@ class DensityOperator:
 
 
 def _support_dimension(matrix: np.ndarray) -> int:
-    """1 + the highest Fock index with a nonzero row or column (at least 1).
+    """1 + the highest Fock index with a nonzero row or column in any matrix
+    of ``matrix``, one (D, D) or a stack (..., D, D); at least 1.
 
     Everything outside the leading support block of ``matrix`` is exactly
     zero, so operations that cannot raise the photon number may act on
     that block alone.
     """
-    nonzero = matrix != 0
-    occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    return int(occupied[-1]) + 1 if occupied.size else 1
+    *_, rows, cols = np.nonzero(matrix)
+    return int(max(rows.max(), cols.max())) + 1 if rows.size else 1
 
 
 def _exp_minus_i(h: np.ndarray) -> np.ndarray:
@@ -362,13 +362,17 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     Each sector B^N is built from the one before, O(M^3) in all, and dropped.
     """
     M = _support_dimension(rho.matrix)
-    D = np.zeros((2 * M - 1, 2 * M - 1))
+    K = 2 * M - 1
+    skew = np.zeros((K, K), dtype=complex)      # skew[N, k] = (B^N rho_{N-n,n})_k
     sector = np.ones((1, 1))
-    for N in range(2 * M - 1):
+    for N in range(K):
         if N:
             sector = _balanced_sector_step(sector)
-        n, k = np.arange(max(0, N - M + 1), min(N, M - 1) + 1), np.arange(N + 1)
-        D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * (sector[:, n] @ rho.matrix[N - n, n])).real
+        n = np.arange(max(0, N - M + 1), min(N, M - 1) + 1)
+        skew[N, :N + 1] = sector[:, n[0]:n[-1] + 1] @ rho.matrix[N - n, n]
+    N, k = np.tril_indices(K)
+    D = np.zeros((K, K))
+    D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * skew[N, k]).real
     return D / math.sqrt(math.pi)
 
 

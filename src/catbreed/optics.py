@@ -121,10 +121,15 @@ def beam_splitter(a: DensityOperator, b: DensityOperator,
         raise DomainError(f"transmittance must lie in [0, 1], got {transmittance}")
     if a.cutoff != b.cutoff:
         raise DomainError("beam splitter inputs must share a cutoff")
-    theta = float(np.arccos(np.sqrt(transmittance)))
-    U = _beam_splitter_unitary(a.cutoff.dimension, theta, float(phase))
-    joint = np.kron(a.matrix, b.matrix)
-    return TwoModeState(U @ joint @ U.conj().T, a.cutoff)
+    return TwoModeState(_mix(a.matrix, b.matrix, transmittance, phase), a.cutoff)
+
+
+def _mix(a: np.ndarray, b: np.ndarray, transmittance: float, phase: float) -> np.ndarray:
+    """``beam_splitter`` of mode-a states ``a``, one (d, d) or a stack, with ``b``."""
+    d = b.shape[-1]
+    U = _beam_splitter_unitary(d, float(np.arccos(np.sqrt(transmittance))), float(phase))
+    joint = (a[..., :, None, :, None] * b[:, None, :]).reshape(a.shape[:-2] + (d * d,) * 2)
+    return U @ joint @ U.conj().T
 
 
 def partial_trace(state: TwoModeState, keep: str) -> DensityOperator:
@@ -140,47 +145,51 @@ def partial_trace(state: TwoModeState, keep: str) -> DensityOperator:
     return DensityOperator(reduced, state.cutoff)
 
 
-def _loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
+def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     """Binomial amplitudes of the pure-loss (generalized Bernoulli) channel.
 
     b[k, n] = sqrt(C(n, k) eta^(n-k) (1-eta)^k) is the amplitude for
     losing k of n photons, |n> -> |n-k>, and zero for k > n; the channel
     is rho -> sum_k A_k rho A_k^dag with A_k = sum_n b[k, n] |n-k><n|.
-    Computed in the log domain to stay finite at large n. Callers treat
-    transmission 1 (the identity) themselves.
+    Computed in the log domain to stay finite at large n, and exact at the
+    edges: eta = 1 is b[0, n] = 1 alone, eta = 0 is b[k, k] = 1. An array
+    of transmissions gives a stack, of shape its shape + (dimension, dimension).
     """
-    if not 0.0 <= transmission <= 1.0:
+    eta = np.asarray(transmission, dtype=float)[..., None, None]
+    if not ((0.0 <= eta) & (eta <= 1.0)).all():
         raise DomainError(f"transmission must lie in [0, 1], got {transmission}")
-    if transmission == 0.0:
-        # everything decays to vacuum: |k> -> |0> with amplitude 1
-        return np.eye(dimension, dtype=complex)
     log_factorial = _log_factorial(dimension)
     k, n = np.arange(dimension)[:, None], np.arange(dimension)
     log_coeff = 0.5 * (log_factorial[n] - log_factorial[k] - log_factorial[n - k])
-    log_b = (log_coeff + 0.5 * (n - k) * np.log(transmission)
-             + 0.5 * k * np.log1p(-transmission))
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 * log 0 at the edges, masked
+        log_b = (log_coeff + np.where(n > k, 0.5 * (n - k) * np.log(eta), 0.0)
+                 + np.where(k > 0, 0.5 * k * np.log1p(-eta), 0.0))
     # complex, so that the products with complex states need no cast
     return np.exp(np.where(n >= k, log_b, -np.inf)).astype(complex)
+
+
+def _lose(matrix: np.ndarray, transmission) -> np.ndarray:
+    """The loss channel on a state or a stack of states ``matrix`` (..., D, D)
+    at a transmission or a stack of them, broadcast together. Loss never
+    raises the photon number, so it acts on the stack's support block."""
+    s = _support_dimension(matrix)
+    block, b = matrix[..., :s, :s], _loss_amplitudes(transmission, s)
+    out = np.zeros(np.broadcast_shapes(matrix.shape, b.shape[:-2] + (1, 1)), dtype=complex)
+    for k in range(s):
+        # A_k rho A_k^dag: rho[n, m] moves to [n-k, m-k], scaled by b[k, n] b[k, m]
+        v = b[..., k, k:]
+        out[..., :s - k, :s - k] += (v[..., :, None] * block[..., k:, k:]) * v[..., None, :]
+    return out
 
 
 def loss_channel(rho: DensityOperator, transmission: float) -> DensityOperator:
     """Photon loss with power transmission ``transmission`` (eta).
 
     Trace preserving; satisfies the semigroup law
-    loss(loss(rho, e1), e2) = loss(rho, e1 * e2). Loss never raises the
-    photon number, so the map acts on the support block only.
+    loss(loss(rho, e1), e2) = loss(rho, e1 * e2). It is ``_lose`` on a single
+    state; transmission 1 is exactly the identity, 0 exactly the vacuum.
     """
-    if transmission == 1.0:
-        return rho
-    s = _support_dimension(rho.matrix)
-    block = rho.matrix[:s, :s]
-    b = _loss_amplitudes(transmission, s)
-    out = np.zeros((rho.dimension,) * 2, dtype=complex)
-    for k in range(s):
-        # A_k rho A_k^dag: rho[n, m] moves to [n-k, m-k], scaled by b[k, n] b[k, m]
-        v = b[k, k:]
-        out[:s - k, :s - k] += (v[:, None] * block[k:, k:]) * v[None, :]
-    return DensityOperator(out, rho.cutoff)
+    return DensityOperator(_lose(rho.matrix, transmission), rho.cutoff)
 
 
 def _window_antiderivative(dimension: int, x: float) -> np.ndarray:
@@ -241,6 +250,20 @@ def homodyne_povm(window: AcceptanceWindow, cutoff: FockCutoff,
     return pi
 
 
+def _measure(pi: np.ndarray, r4: np.ndarray, measured_mode: str):
+    """``condition`` of joint states ``r4``, one (d, d, d, d) or a stack:
+    the heralded states and the probabilities Tr[(1 x Pi) rho]."""
+    if measured_mode not in ("a", "b"):
+        raise DomainError(f"measured_mode must be 'a' or 'b', got {measured_mode!r}")
+    raw = np.einsum("ab,...bnam->...nm" if measured_mode == "a" else "bk,...nkmb->...nm",
+                    pi, r4)
+    prob = np.trace(raw, axis1=-2, axis2=-1).real
+    if not np.all(prob >= 1e-12):   # also refuses NaN
+        raise HeraldImpossibleError(
+            f"conditioning probability {np.min(prob):.3e} is numerically zero")
+    return (raw + np.swapaxes(raw.conj(), -1, -2)) / (2.0 * prob[..., None, None]), prob
+
+
 def condition(two_mode: TwoModeState, measured_mode: str,
               window: AcceptanceWindow,
               detector_efficiency: float = 1.0) -> HeraldOutcome:
@@ -262,19 +285,18 @@ def condition(two_mode: TwoModeState, measured_mode: str,
     """
     d = two_mode.cutoff.dimension
     pi = homodyne_povm(window, two_mode.cutoff, detector_efficiency)
-    r4 = two_mode.matrix.reshape(d, d, d, d)
-    if measured_mode == "b":
-        raw = np.einsum("bk,nkmb->nm", pi, r4)
-    elif measured_mode == "a":
-        raw = np.einsum("ab,bnam->nm", pi, r4)
-    else:
-        raise DomainError(f"measured_mode must be 'a' or 'b', got {measured_mode!r}")
-    prob = float(np.real(np.trace(raw)))
-    if not prob >= 1e-12:   # also refuses NaN
-        raise HeraldImpossibleError(
-            f"conditioning probability {prob:.3e} is numerically zero")
-    state = (raw + raw.conj().T) / (2.0 * prob)
-    return HeraldOutcome(DensityOperator(state, two_mode.cutoff), prob)
+    state, prob = _measure(pi, two_mode.matrix.reshape(d, d, d, d), measured_mode)
+    return HeraldOutcome(DensityOperator(state, two_mode.cutoff), float(prob))
+
+
+def _breed(a: np.ndarray, b: np.ndarray, window: AcceptanceWindow,
+           detector_efficiency: float) -> tuple[np.ndarray, np.ndarray]:
+    """``breed`` of mode-a states ``a``, one (D, D) or a stack, with ``b``, all at
+    the work dimension d of the widest support: unpadded states (..., d, d)."""
+    d = min(max(_support_dimension(a) + _support_dimension(b) - 2, 2), b.shape[-1] - 1) + 1
+    r = _mix(a[..., :d, :d], b[:d, :d], 0.5, 0.0)
+    pi = homodyne_povm(window, FockCutoff(d - 1), detector_efficiency)
+    return _measure(pi, r.reshape(r.shape[:-2] + (d,) * 4), "b")
 
 
 def breed(a: DensityOperator, b: DensityOperator, window: AcceptanceWindow,
@@ -283,7 +305,7 @@ def breed(a: DensityOperator, b: DensityOperator, window: AcceptanceWindow,
 
     Mode b carries the measured output; mode a carries the bred state.
     Iterating on the outputs is supported (states are closed under the
-    operation).
+    operation). It is the stacked core ``_breed`` on a single state.
 
     The beam splitter conserves total photon number, so inputs supported
     on |0..s_a-1> and |0..s_b-1> never leave the sectors up to
@@ -293,14 +315,9 @@ def breed(a: DensityOperator, b: DensityOperator, window: AcceptanceWindow,
     """
     if a.cutoff != b.cutoff:
         raise DomainError("beam splitter inputs must share a cutoff")
-    support = _support_dimension(a.matrix) + _support_dimension(b.matrix) - 2
-    work = FockCutoff(min(max(support, 2), a.cutoff.n_max))
-    d = work.dimension
-    joint = beam_splitter(DensityOperator(a.matrix[:d, :d], work),
-                          DensityOperator(b.matrix[:d, :d], work), 0.5, 0.0)
-    outcome = condition(joint, "b", window, detector_efficiency)
-    return HeraldOutcome(pad_density_operator(outcome.state, a.cutoff),
-                         outcome.probability)
+    state, prob = _breed(a.matrix, b.matrix, window, detector_efficiency)
+    work = DensityOperator(state, FockCutoff(len(state) - 1))
+    return HeraldOutcome(pad_density_operator(work, a.cutoff), float(prob))
 
 
 def single_photon_state(photon_fidelity: float = 0.87,

@@ -26,8 +26,8 @@ from .fock import (
     fidelity_to_pure,
     target_cat,
 )
-from .optics import AcceptanceWindow, breed, loss_channel, single_photon_state
-from .tomography import _write_csv
+from .optics import AcceptanceWindow, _breed, _lose, loss_channel, single_photon_state
+from .tomography import _ROWS_PER_WRITE, _write_csv
 
 # Every record the timeline writes, as (kind, reason, carries the storage
 # trips). A record's code in TimelineEvents is its row here.
@@ -49,13 +49,13 @@ EVENT_RECORDS = (
 EVENT_KINDS = frozenset(kind for kind, _, _ in EVENT_RECORDS)
 
 # each record's log line as json.dumps(sort_keys=True) writes it, as a
-# str.format template of the pulse index {0} and the trips {1}
-_LINE_TEMPLATES = tuple(
-    '{{"kind": "%s", "pulse_index": {0}%s%s}}\n'
+# %-template of the pulse index and the trips; a record without trips
+# swallows them with %.0s, which prints nothing
+_LINE_TEMPLATES = np.array([
+    '{"kind": "%s", "pulse_index": %%d%s%s}\n'
     % (kind, f', "reason": "{reason}"' if reason else "",
-       ', "trips": {1}' if trips else "")
-    for kind, reason, trips in EVENT_RECORDS)
-_EVENT_LOG_CHUNK = 8192   # rows that write_event_log formats at a time
+       ', "trips": %d' if trips else "%.0s")
+    for kind, reason, trips in EVENT_RECORDS], dtype=object)
 
 
 def per_trip_transmission_from_total(total_loss: float, n_trips: int) -> float:
@@ -216,38 +216,41 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
 
 # per-gap states, 16 bytes a matrix entry, stay below the other caps' 0.9 GB
 MAX_WINDOW_BYTES = 900_000_000
+# bytes of states one stacked loss or breed makes at a time, so transient memory
+# follows this block, not the window or the cutoff: 256 gaps at cutoff 20
+_BLOCK_BYTES = 256 * 21 ** 2 * 16
+
+
+def _blocks(count: int, dimension: int) -> list[slice]:
+    """Slices of ``count`` stacked states of ``dimension`` that fill _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (16 * dimension ** 2))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 @lru_cache(maxsize=2)
-def _window_components(config: ProtocolConfig):
-    """Per-gap breeding outcomes for every storage length in the window.
-
-    Returns a tuple of (n, heralded DensityOperator, herald probability)
-    with the first photon degraded by n round trips and the second
-    photon fresh; refused, before the first breed, above MAX_WINDOW_BYTES.
-    """
-    size = (config.n_max - config.n_min + 1) * config.cutoff.dimension ** 2 * 16
+def _window_components(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only heralded states (G, D, D) and herald probabilities (G,) of
+    the G storage lengths n_min .. n_max: the first photon degraded by n round
+    trips, the second fresh. Each of _blocks is one stacked loss at eta^n and
+    one stacked breed; refused, before the first breed, above MAX_WINDOW_BYTES."""
+    count, dim = config.n_max - config.n_min + 1, config.cutoff.dimension
+    size = count * dim ** 2 * 16
     if size > MAX_WINDOW_BYTES:
         raise DomainError(
             f"storage window [{config.n_min}, {config.n_max}] would hold {size / 1e9:.3g} GB "
             f"of per-gap states, above {MAX_WINDOW_BYTES / 1e9:g} GB")
     fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight,
-                                config.cutoff)
-    eta_cond = config.conditioning_efficiency
-    out = []
-    for n in range(config.n_min, config.n_max + 1):
-        first = storage_evolve(fresh, n, config.per_trip_transmission)
-        outcome = breed(first, fresh, config.window, eta_cond)
-        out.append((n, outcome.state, outcome.probability))
-    return tuple(out)
-
-
-def _gap_weights(config: ProtocolConfig, n_max: int) -> np.ndarray:
-    """Geometric gap probabilities restricted to [n_min, n_max], normalized."""
-    n = np.arange(config.n_min, n_max + 1)
-    p = config.p_trip
-    w = (1.0 - p) ** (n - 1) * p
-    return w / w.sum()
+                                config.cutoff).matrix
+    states, probs = np.zeros((count, dim, dim), dtype=complex), np.empty(count)
+    gaps = range(config.n_min, config.n_max + 1)
+    for block in _blocks(count, dim):
+        # Python's pow, as in storage_evolve: numpy's SIMD power may differ in the last bit
+        lost = _lose(fresh, [config.per_trip_transmission ** n for n in gaps[block]])
+        bred, probs[block] = _breed(lost, fresh, config.window, config.conditioning_efficiency)
+        states[block, :bred.shape[-1], :bred.shape[-1]] = bred
+    for arr in (states, probs):
+        arr.setflags(write=False)
+    return states, probs
 
 
 def _heralded_mixture(config: ProtocolConfig,
@@ -259,12 +262,12 @@ def _heralded_mixture(config: ProtocolConfig,
         raise DomainError(
             "f_herald is 0: no photon is ever heralded, so the heralded "
             "mixture over storage lengths is undefined")
-    comps = _window_components(config)[:n_max - config.n_min + 1]
-    weights = _gap_weights(config, n_max)
+    states, probs = _window_components(config)
+    gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
     p_mean = 0.0
-    for w, (_, state, prob) in zip(weights, comps):
-        creation_mat += w * state.matrix
+    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):   # gaps up to n_max
+        creation_mat += w * state
         p_mean += w * prob
     return DensityOperator(creation_mat, config.cutoff), p_mean
 
@@ -309,7 +312,8 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
 
     For each candidate n_max the heralded mixture is reassembled from
     cached per-gap components, so sweeping is cheap. Fidelities are
-    reported at creation and after the readout storage trips.
+    reported at creation and after the readout storage trips, applied to
+    the creations as one stacked loss per _blocks of them.
     """
     if len(n_max_values) == 0:
         raise DomainError("n_max_values must be non-empty")
@@ -320,18 +324,17 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     if target is None:
         target = target_cat(TargetCatSpec(), config.cutoff)
 
+    t = config.per_trip_transmission ** config.readout_trips
     rows = []
-    for m in n_max_values:
-        creation, p_mean = _heralded_mixture(wide, m)
-        after = storage_evolve(creation, config.readout_trips,
-                               config.per_trip_transmission)
-        rate = generation_rate(replace(config, n_max=m), p_mean)
-        rows.append(CurveRow(
-            n_max=m,
-            rate_hz=rate,
-            fidelity_at_creation=fidelity_to_pure(creation, target),
-            fidelity_after_readout=fidelity_to_pure(after, target),
-        ))
+    for block in _blocks(len(n_max_values), config.cutoff.dimension):
+        mixtures = [_heralded_mixture(wide, m) for m in n_max_values[block]]
+        after = _lose(np.stack([creation.matrix for creation, _ in mixtures]), t)
+        rows += [CurveRow(n_max=m,
+                          rate_hz=generation_rate(replace(config, n_max=m), p_mean),
+                          fidelity_at_creation=fidelity_to_pure(creation, target),
+                          fidelity_after_readout=fidelity_to_pure(
+                              DensityOperator(stored, config.cutoff), target))
+                 for m, (creation, p_mean), stored in zip(n_max_values[block], mixtures, after)]
     return rows
 
 
@@ -346,14 +349,14 @@ def write_curve_csv(rows: Sequence[CurveRow], path) -> None:
 
 def write_event_log(events: TimelineEvents, path) -> None:
     """Line-delimited structured records, one JSON object per event,
-    formatted _EVENT_LOG_CHUNK rows at a time so that memory does not grow
-    with the log."""
+    formatted _ROWS_PER_WRITE rows at a time, with one % over their joined
+    templates, so that memory does not grow with the log."""
     with open(path, "w") as fh:
-        for i in range(0, len(events), _EVENT_LOG_CHUNK):
-            rows = zip(*(col[i:i + _EVENT_LOG_CHUNK].tolist()
-                         for col in (events.pulse_index, events.record, events.trips)))
-            fh.writelines(_LINE_TEMPLATES[code].format(pulse, trips)
-                          for pulse, code, trips in rows)
+        for i in range(0, len(events), _ROWS_PER_WRITE):
+            rows = slice(i, i + _ROWS_PER_WRITE)
+            fields = np.stack([events.pulse_index[rows], events.trips[rows]], axis=1)
+            fh.write("".join(_LINE_TEMPLATES[events.record[rows]].tolist())
+                     % tuple(fields.ravel().tolist()))
 
 
 # a simulate run peaks at about 200 bytes per herald (351 MB for 1.55 M),
@@ -412,15 +415,12 @@ def simulate_timeline(config: ProtocolConfig,
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
-    comps = _window_components(config)
-    p_cond = np.array([prob for _, _, prob in comps])
+    states, p_cond = _window_components(config)
     target = target_cat(TargetCatSpec(), config.cutoff)
-    fid_out = np.array([
-        fidelity_to_pure(
-            storage_evolve(state, config.readout_trips, config.per_trip_transmission),
-            target)
-        for _, state, _ in comps
-    ])
+    t = config.per_trip_transmission ** config.readout_trips
+    fid_out = np.array([fidelity_to_pure(DensityOperator(stored, config.cutoff), target)
+                        for block in _blocks(len(states), config.cutoff.dimension)
+                        for stored in _lose(states[block], t)])
 
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))

@@ -580,17 +580,20 @@ def bootstrap(data: HomodyneDataset, n_resamples: int, statistic,
 # column names, then one line of comma-separated numbers per row
 
 DATASET_HEADER = "theta,x"
+_ROWS_PER_WRITE = 8192   # rows that a table or event-log writer formats at a time
 
 
 def _write_csv(path, header: str, table, fmt="%.12g") -> None:
     """Write ``table``, a 2-D array or an iterable of them (so that a large
-    table need never exist whole), row by row under ``header``; ``fmt`` is
-    one format for every column or a list of one per column."""
+    table need never exist whole), under ``header``, _ROWS_PER_WRITE rows
+    at a time with one %; ``fmt`` is one format for every column or a list
+    of one per column."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for block in [table] if isinstance(table, np.ndarray) else table:
             line = ",".join([fmt] * block.shape[1] if isinstance(fmt, str) else fmt) + "\n"
-            fh.writelines(line % tuple(row) for row in block.tolist())
+            for rows in np.split(block, range(_ROWS_PER_WRITE, len(block), _ROWS_PER_WRITE)):
+                fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _read_csv(path, what: str) -> tuple[list, np.ndarray]:

@@ -5,15 +5,15 @@ from scipy.linalg import expm
 from scipy.special import comb, erf
 
 from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
-                      DomainError, FockCutoff, HeraldImpossibleError,
+                      DensityOperator, DomainError, FockCutoff, HeraldImpossibleError,
                       TwoModeState, beam_splitter, breed, coherent_state,
                       condition, fidelity, fidelity_to_pure, fock_state,
                       hermite_functions, homodyne_povm, loss_channel,
                       partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
 from catbreed.fock import StateVector, _log_factorial
-from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary,
-                             _loss_amplitudes, _window_matrix)
+from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary, _breed,
+                             _lose, _loss_amplitudes, _window_matrix)
 from conftest import (random_density, random_pure, reference_window_matrix,
                       smear_povm)
 
@@ -189,6 +189,27 @@ def test_loss_identity_and_vacuum_limits():
     assert vac.populations()[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stacked_loss_is_each_loss_and_exact_at_the_edges():
+    # one stacked call at several transmissions is each single call, bit for
+    # bit; transmission 1 is exactly the identity and 0 exactly the vacuum
+    rng = np.random.default_rng(18)
+    rho = random_density(rng, 8)
+    etas = [1.0, 0.0, 0.37, 1.0 - 1e-12, 1e-300]
+    stack = _lose(rho.matrix, etas)
+    assert stack.shape == (len(etas), 8, 8)
+    for eta, got in zip(etas, stack):
+        assert np.array_equal(got, loss_channel(rho, eta).matrix)
+    assert np.array_equal(stack[0], rho.matrix)
+    assert np.count_nonzero(stack[1]) == 1
+    assert stack[1][0, 0] == pytest.approx(1.0, abs=1e-12)
+    # a stack of states at one transmission is each state's loss
+    states = [random_density(rng, 8).matrix for _ in range(3)]
+    for got, one in zip(_lose(np.stack(states), 0.64), states):
+        assert np.array_equal(got, loss_channel(DensityOperator(one, rho.cutoff), 0.64).matrix)
+    with pytest.raises(DomainError):
+        _lose(rho.matrix, [0.5, 1.1])
+
+
 def test_loss_semigroup_and_commutation():
     rng = np.random.default_rng(14)
     rho = random_density(rng, 10)
@@ -346,6 +367,12 @@ def test_loss_amplitudes_match_the_row_loop_bit_for_bit(d):
         assert got.dtype == complex
         assert np.array_equal(got, row_loop_loss_amplitudes(eta, d))
     np.testing.assert_array_equal(_loss_amplitudes(0.0, d), np.eye(d))
+    identity = np.zeros((d, d))
+    identity[0] = 1.0
+    np.testing.assert_array_equal(_loss_amplitudes(1.0, d), identity)
+    stacked = _loss_amplitudes([0.0, 0.37, 1.0], d)
+    for eta, got in zip([0.0, 0.37, 1.0], stacked):
+        assert np.array_equal(got, _loss_amplitudes(eta, d))
 
 
 def test_povm_rejects_bad_detector_efficiency():
@@ -520,6 +547,20 @@ def test_breed_at_full_support_is_the_dense_path():
     assert got.probability == want.probability
     with pytest.raises(DomainError):
         breed(a, fock_state(1, FockCutoff(5)).to_density(), window)
+
+
+def test_stacked_breed_checks_every_member():
+    # a member that cannot herald, here a zero or a NaN matrix after a good
+    # one, refuses the whole stack
+    photon = single_photon_state(0.87, cutoff=CUT).matrix
+    states, probs = _breed(np.stack([photon, photon]), photon, WINDOW, 1.0)
+    one = breed(DensityOperator(photon, CUT), DensityOperator(photon, CUT), WINDOW)
+    d = states.shape[-1]
+    assert np.array_equal(states[1], one.state.matrix[:d, :d]) and probs[1] == one.probability
+    assert not one.state.matrix[d:].any() and not one.state.matrix[:, d:].any()
+    for bad in (np.zeros_like(photon), np.full_like(photon, np.nan)):
+        with pytest.raises(HeraldImpossibleError):
+            _breed(np.stack([photon, bad]), photon, WINDOW, 1.0)
 
 
 def test_single_photon_state_population_model():

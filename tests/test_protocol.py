@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
-                      CurveRow, DomainError, EVENT_KINDS,
-                      EVENT_RECORDS, ProtocolConfig, RunStatistics,
-                      TargetCatSpec, TimelineEvents, calibrate_beta_elec,
+                      AcceptanceWindow, CurveRow, DensityOperator, DomainError,
+                      EVENT_KINDS, EVENT_RECORDS, FockCutoff,
+                      HeraldImpossibleError, ProtocolConfig, RunStatistics,
+                      TargetCatSpec, TimelineEvents, breed, calibrate_beta_elec,
                       fidelity_to_pure, fidelity_vs_storage_curve, fock_state,
                       generation_rate, per_trip_transmission_from_total,
-                      pipeline_states, simulate_timeline, storage_evolve,
-                      target_cat, window_probability, write_curve_csv,
-                      write_event_log)
+                      pipeline_states, simulate_timeline, single_photon_state,
+                      storage_evolve, target_cat, window_probability,
+                      write_curve_csv, write_event_log)
 import catbreed.protocol as protocol
 from catbreed.protocol import (MAX_EXPECTED_HERALDS, MAX_WINDOW_BYTES,
                                _herald_pulses, _window_components)
@@ -193,7 +194,7 @@ def test_pipeline_states_need_heralds(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("bred before f_herald was checked")
 
-    monkeypatch.setattr(protocol, "breed", unreachable)
+    monkeypatch.setattr(protocol, "_breed", unreachable)
     silent = replace(CFG, f_herald=0.0)
     with pytest.raises(DomainError, match="f_herald"):
         pipeline_states(silent)
@@ -342,12 +343,10 @@ FAST = replace(CFG, f_herald=5e6, rng_seed=7)
 
 def expected_cycle_success(config: ProtocolConfig) -> float:
     """Per-cycle success probability shared by the closed form and the MC."""
-    comps_p = {}
-    for n, _, prob in _window_components(config):
-        comps_p[n] = prob
+    _, probs = _window_components(config)
     p = config.p_trip
     return config.beta_elec * sum(
-        (1.0 - p) ** (n - 1) * p * comps_p[n]
+        (1.0 - p) ** (n - 1) * p * probs[n - config.n_min]
         for n in range(config.n_min, config.n_max + 1))
 
 
@@ -379,7 +378,7 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     def unreachable(*args, **kwargs):
         raise AssertionError("ran before the storage window was checked")
 
-    monkeypatch.setattr(protocol, "breed", unreachable)
+    monkeypatch.setattr(protocol, "_breed", unreachable)
     monkeypatch.setattr(protocol, "_herald_pulses", unreachable)
     wide = replace(CFG, n_max=10 ** 7)
     calls = [lambda: pipeline_states(wide),
@@ -405,6 +404,73 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     assert 15 * 21 ** 2 * 16 < MAX_WINDOW_BYTES / 1000
 
 
+@pytest.mark.parametrize("cutoff", [20, 40])
+@pytest.mark.parametrize("per_trip", [1.0, DEFAULT_PER_TRIP_TRANSMISSION])
+@pytest.mark.parametrize("cond_eff", [False, True])
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_window_components_match_the_per_gap_loop(w2, cond_eff, per_trip, cutoff):
+    # Oracle: the per-gap loop that the stacked loss and breed replaced, over
+    # a window at n_min > 1 that spans more than one block of gaps
+    gaps = protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 6
+    config = replace(CFG, n_min=3, n_max=3 + gaps - 1, two_photon_weight=w2,
+                     condition_with_detector_efficiency=cond_eff,
+                     per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
+    fresh = single_photon_state(config.photon_fidelity, w2, config.cutoff)
+    states, probs = _window_components(config)
+    assert states.shape == (gaps, cutoff + 1, cutoff + 1)
+    for n, state, prob in zip(range(config.n_min, config.n_max + 1), states, probs):
+        want = breed(storage_evolve(fresh, n, per_trip), fresh, config.window,
+                     config.conditioning_efficiency)
+        assert np.array_equal(state, want.state.matrix)
+        assert prob == want.probability
+
+
+def test_a_window_that_cannot_herald_is_refused():
+    # a window too narrow for the photon pair to land in heralds with
+    # probability below 1e-12 at every gap
+    narrow = replace(CFG, window=AcceptanceWindow(1e-14))
+    with pytest.raises(HeraldImpossibleError):
+        _window_components(narrow)
+    with pytest.raises(HeraldImpossibleError):
+        pipeline_states(narrow)
+
+
+@pytest.mark.parametrize("cutoff, gaps", [(20, 4000), (100, 120)])
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_window_components_memory_follows_the_states(w2, cutoff, gaps):
+    # the stacked loss and breed run a block of _BLOCK_BYTES at a time, so a
+    # window peaks at little more than its per-gap states, whether it holds
+    # thousands of small states or a hundred large ones
+    config = replace(CFG, n_max=gaps, two_photon_weight=w2, cutoff=FockCutoff(cutoff))
+    tracemalloc.start()
+    try:
+        states, _ = _window_components(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _window_components.cache_clear()
+    assert states.nbytes == gaps * (cutoff + 1) ** 2 * 16
+    assert peak < 1.5 * states.nbytes
+
+
+def test_readouts_of_large_states_follow_the_window():
+    # the curve's readout of 120 creations and the timeline's readout of 120
+    # gaps, at cutoff 100, stay a block above the window's own states
+    config = replace(CFG, n_max=120, cutoff=FockCutoff(100))
+    window_bytes = 120 * 101 ** 2 * 16
+    calls = [lambda: fidelity_vs_storage_curve(config, list(range(1, 121))),
+             lambda: simulate_timeline(config, 1e-6)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _window_components.cache_clear()
+        assert peak < 1.5 * window_bytes
+
+
 def reference_timeline(config: ProtocolConfig, duration_s: float):
     """Oracle: the per-sequence loop simulate_timeline replaced, unchanged
     but for dicts in place of event objects. Same RNG draws, same order."""
@@ -421,14 +487,15 @@ def reference_timeline(config: ProtocolConfig, duration_s: float):
     else:
         u_live = u_cond = np.zeros(0)
 
-    comps = _window_components(config)
-    p_cond = {n: prob for n, _, prob in comps}
+    states, probs = _window_components(config)
+    p_cond = dict(enumerate(probs, start=config.n_min))
     target = target_cat(TargetCatSpec(), config.cutoff)
     fid_out = {
         n: fidelity_to_pure(
-            storage_evolve(state, config.readout_trips, config.per_trip_transmission),
+            storage_evolve(DensityOperator(state, config.cutoff), config.readout_trips,
+                           config.per_trip_transmission),
             target)
-        for n, state, _ in comps
+        for n, state in enumerate(states, start=config.n_min)
     }
 
     successes = 0

@@ -920,6 +920,19 @@ def test_dataset_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.xs, ds.xs, atol=1e-10)
 
 
+def test_csv_chunks_match_the_per_row_oracle(tmp_path):
+    # 20 000 rows cross two 8192-row chunks and end inside one, as one block
+    # and as several; the per-row % that the chunked writer replaced is the oracle
+    rng = np.random.default_rng(21)
+    table = np.column_stack([np.arange(20_000), rng.normal(size=(20_000, 2))])
+    fmt = ["%d", "%.12g", "%.10g"]
+    line = ",".join(fmt) + "\n"
+    expected = "a,b,c\n" + "".join(line % tuple(row) for row in table.tolist())
+    for blocks in (table, [table[:5], table[5:9000], table[9000:]]):
+        tomo._write_csv(tmp_path / "t.csv", "a,b,c", blocks, fmt=fmt)
+        assert (tmp_path / "t.csv").read_text() == expected
+
+
 def test_dataset_csv_rejects_bad_files(tmp_path):
     with pytest.raises(ConfigError):
         load_dataset_csv(tmp_path / "missing.csv")
