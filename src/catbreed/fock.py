@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,6 +265,7 @@ class TargetCatSpec:
 # The breeding protocol produces its cat fringes along the momentum
 # quadrature; the constructed target is rotated into that frame with the
 # number-operator quarter-turn i^n so fidelities compare like with like.
+@lru_cache(maxsize=16)
 def target_cat(spec: TargetCatSpec, cutoff: FockCutoff) -> StateVector:
     """Squeezed even cat S(r)(|alpha> + |-alpha>)/N in the frame of the bred
     states, exact at every cutoff.
@@ -274,6 +276,7 @@ def target_cat(spec: TargetCatSpec, cutoff: FockCutoff) -> StateVector:
     cat is 2 c_n / N on even n and 0 on odd n, with N^2 = 2 + 2 exp(-2 alpha^2)
     exactly, so ``truncation_deficit`` is the true probability above the cutoff.
     A cat with no representable weight below the cutoff is a TruncationError.
+    Cached per (spec, cutoff): the amplitudes are read-only, so callers share them.
     """
     if cutoff.n_max < 20:
         raise DomainError(f"target_cat needs cutoff >= 20, got {cutoff.n_max}")
@@ -358,8 +361,8 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     W = (1/pi) int dy <x-y|rho|x+y> e^{2ipy}. The 45-degree rotation (the
     balanced beam splitter B) turns psi_m(x-y) psi_n(x+y) into a sum of
     psi_k(sqrt2 x) psi_{N-k}(sqrt2 y), N = m + n, and psi_l has Fourier
-    transform i^l psi_l, so D_{k,N-k} = Re[(-i)^{N-k} (B^N rho_{N-n,n})_k] / sqrt(pi).
-    Each sector B^N is built from the one before, O(M^3) in all, and dropped.
+    transform i^l psi_l, so D_{k,l} = Re[(-i)^l (B^N rho_{N-n,n})_k] / sqrt(pi) at N = k + l
+    < K, and 0 beyond. Each sector B^N is built from the one before, O(M^3) in all, and dropped.
     """
     M = _support_dimension(rho.matrix)
     K = 2 * M - 1
@@ -370,9 +373,8 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
             sector = _balanced_sector_step(sector)
         n = np.arange(max(0, N - M + 1), min(N, M - 1) + 1)
         skew[N, :N + 1] = sector[:, n[0]:n[-1] + 1] @ rho.matrix[N - n, n]
-    N, k = np.tril_indices(K)
-    D = np.zeros((K, K))
-    D[k, N - k] = (_QUARTER_TURNS[(N - k) % 4] * skew[N, k]).real
+    k, l = np.arange(K)[:, None], np.arange(K)
+    D = np.where(k + l < K, (_QUARTER_TURNS[l % 4] * skew[(k + l) % K, k]).real, 0.0)
     return D / math.sqrt(math.pi)
 
 
@@ -395,10 +397,11 @@ def wigner(rho: DensityOperator, x, p) -> np.ndarray | float:
 
 def wigner_grid(rho: DensityOperator, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """``wigner`` on the outer grid xs x ps, shape (len(xs), len(ps)), as
-    two matrix products."""
+    two matrix products; a square grid (xs equal to ps) evaluates one table."""
     D = _wigner_coefficients(rho)
-    psi_x, psi_p = (hermite_functions(len(D) - 1, np.sqrt(2.0) * np.ravel(v).astype(float))
-                    for v in (xs, ps))
+    ux, up = (np.sqrt(2.0) * np.ravel(v).astype(float) for v in (xs, ps))
+    psi_x = hermite_functions(len(D) - 1, ux)
+    psi_p = psi_x if np.array_equal(ux, up) else hermite_functions(len(D) - 1, up)
     return psi_x.T @ D @ psi_p
 
 

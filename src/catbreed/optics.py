@@ -145,6 +145,19 @@ def partial_trace(state: TwoModeState, keep: str) -> DensityOperator:
     return DensityOperator(reduced, state.cutoff)
 
 
+@lru_cache(maxsize=6)
+def _loss_table(dimension: int) -> tuple[np.ndarray, ...]:
+    """The read-only part of ``_loss_amplitudes`` without eta: log-binomials (-inf for
+    k > n), n > k with (n - k)/2, and k > 0 with k/2. At 17 bytes per (k, n), the six
+    cached tables hold at most 26 MB at MAX_CUTOFF."""
+    log_fact, (k, n) = _log_factorial(dimension), np.ogrid[:dimension, :dimension]
+    table = (np.where(n >= k, 0.5 * (log_fact[n] - log_fact[k] - log_fact[n - k]), -np.inf),
+             n > k, 0.5 * (n - k), k > 0, 0.5 * k)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     """Binomial amplitudes of the pure-loss (generalized Bernoulli) channel.
 
@@ -154,18 +167,17 @@ def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     Computed in the log domain to stay finite at large n, and exact at the
     edges: eta = 1 is b[0, n] = 1 alone, eta = 0 is b[k, k] = 1. An array
     of transmissions gives a stack, of shape its shape + (dimension, dimension).
+    Only the eta terms are computed per call; the rest is the cached ``_loss_table``.
     """
     eta = np.asarray(transmission, dtype=float)[..., None, None]
     if not ((0.0 <= eta) & (eta <= 1.0)).all():
         raise DomainError(f"transmission must lie in [0, 1], got {transmission}")
-    log_factorial = _log_factorial(dimension)
-    k, n = np.arange(dimension)[:, None], np.arange(dimension)
-    log_coeff = 0.5 * (log_factorial[n] - log_factorial[k] - log_factorial[n - k])
+    log_coeff, lost, half_lost, kept, half_kept = _loss_table(dimension)
     with np.errstate(divide="ignore", invalid="ignore"):   # 0 * log 0 at the edges, masked
-        log_b = (log_coeff + np.where(n > k, 0.5 * (n - k) * np.log(eta), 0.0)
-                 + np.where(k > 0, 0.5 * k * np.log1p(-eta), 0.0))
+        log_b = (log_coeff + np.where(lost, half_lost * np.log(eta), 0.0)
+                 + np.where(kept, half_kept * np.log1p(-eta), 0.0))
     # complex, so that the products with complex states need no cast
-    return np.exp(np.where(n >= k, log_b, -np.inf)).astype(complex)
+    return np.exp(log_b).astype(complex)
 
 
 def _lose(matrix: np.ndarray, transmission) -> np.ndarray:

@@ -23,7 +23,6 @@ from .fock import (
     FockCutoff,
     StateVector,
     TargetCatSpec,
-    fidelity_to_pure,
     target_cat,
 )
 from .optics import AcceptanceWindow, _breed, _lose, loss_channel, single_photon_state
@@ -253,23 +252,28 @@ def _window_components(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     return states, probs
 
 
-def _heralded_mixture(config: ProtocolConfig,
-                      n_max: int) -> tuple[DensityOperator, float]:
-    """Creation state and mean herald probability for storage depth
-    ``n_max`` <= config.n_max: the per-gap outcomes mixed by the in-window
-    gap law; refused at f_herald = 0, before anything is bred."""
+def _window_fidelities(states: np.ndarray, target: StateVector,
+                       transmission: float) -> tuple[np.ndarray, np.ndarray]:
+    """fidelity_to_pure of each of ``states``, bit for bit, as bred and after loss at
+    ``transmission``. Each row <psi|rho meets |psi> on its own; the loss is one stacked
+    _lose per _blocks slice, reduced to its overlaps before the next slice is lost."""
+    v = target.amplitudes
+
+    def overlaps(stack):
+        return ((v.conj() @ stack)[:, None] @ v[:, None])[:, 0, 0].real
+    return overlaps(states), np.concatenate([overlaps(_lose(states[block], transmission))
+                                             for block in _blocks(len(states), states.shape[-1])])
+
+
+def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unnormalised gap law (1-p)^(n-1) p beside _window_components; refused
+    at f_herald = 0, where the law has no mass, before anything is bred."""
     if config.p_trip == 0.0:
-        raise DomainError(
-            "f_herald is 0: no photon is ever heralded, so the heralded "
-            "mixture over storage lengths is undefined")
+        raise DomainError("f_herald is 0: no photon is ever heralded, so the heralded "
+                          "mixture over storage lengths is undefined")
     states, probs = _window_components(config)
-    gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
-    creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
-    p_mean = 0.0
-    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):   # gaps up to n_max
-        creation_mat += w * state
-        p_mean += w * prob
-    return DensityOperator(creation_mat, config.cutoff), p_mean
+    gaps = np.arange(config.n_min, config.n_max + 1)
+    return (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip, states, probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +294,12 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     stored state adds the readout storage loss; the measured state adds
     the homodyne detection loss.
     """
-    creation, p_mean = _heralded_mixture(config, config.n_max)
+    gap_law, states, probs = _heralded_window(config)
+    creation_mat, p_mean = np.zeros((config.cutoff.dimension,) * 2, dtype=complex), 0.0
+    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):
+        creation_mat += w * state
+        p_mean += w * prob
+    creation = DensityOperator(creation_mat, config.cutoff)
     stored = storage_evolve(creation, config.readout_trips,
                             config.per_trip_transmission)
     measured = loss_channel(stored, config.eta_homodyne)
@@ -310,32 +319,31 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
                               target: StateVector | None = None) -> list[CurveRow]:
     """Rate/fidelity trade-off versus the maximum storage window length.
 
-    For each candidate n_max the heralded mixture is reassembled from
-    cached per-gap components, so sweeping is cheap. Fidelities are
-    reported at creation and after the readout storage trips, applied to
-    the creations as one stacked loss per _blocks of them.
+    <psi|rho|psi> and the herald probability are linear in rho, so the row
+    at n_max is a running sum over the gaps n_min .. n_max of w_n <psi|rho_n|psi>
+    (at creation, and after the readout storage trips) and of w_n p_n, over
+    the running sum of the gap law w_n. The per-gap states are bred once for
+    the widest n_max and read out by ``_window_fidelities``, so the cost is
+    linear in the window, whatever the number of rows.
     """
     if len(n_max_values) == 0:
         raise DomainError("n_max_values must be non-empty")
     if any(m < config.n_min for m in n_max_values):
         raise DomainError("every n_max must be >= config.n_min")
-    top = max(n_max_values)
-    wide = replace(config, n_max=top)
     if target is None:
         target = target_cat(TargetCatSpec(), config.cutoff)
-
-    t = config.per_trip_transmission ** config.readout_trips
-    rows = []
-    for block in _blocks(len(n_max_values), config.cutoff.dimension):
-        mixtures = [_heralded_mixture(wide, m) for m in n_max_values[block]]
-        after = _lose(np.stack([creation.matrix for creation, _ in mixtures]), t)
-        rows += [CurveRow(n_max=m,
-                          rate_hz=generation_rate(replace(config, n_max=m), p_mean),
-                          fidelity_at_creation=fidelity_to_pure(creation, target),
-                          fidelity_after_readout=fidelity_to_pure(
-                              DensityOperator(stored, config.cutoff), target))
-                 for m, (creation, p_mean), stored in zip(n_max_values[block], mixtures, after)]
-    return rows
+    elif target.cutoff != config.cutoff:
+        raise DomainError("fidelity requires matching cutoffs")
+    gap_law, states, probs = _heralded_window(replace(config, n_max=max(n_max_values)))
+    fidelities = _window_fidelities(states, target,
+                                    config.per_trip_transmission ** config.readout_trips)
+    rows = np.asarray(n_max_values) - config.n_min
+    created, stored, p_mean = (np.cumsum(gap_law * x)[rows] / np.cumsum(gap_law)[rows]
+                               for x in (*fidelities, probs))
+    scale = config.f_herald / 3.0 * config.beta_elec   # generation_rate at each n_max
+    return [CurveRow(m, scale * p * window_probability(config.p_trip, config.n_min, m),
+                     float(f_created), float(f_stored))
+            for m, p, f_created, f_stored in zip(n_max_values, p_mean, created, stored)]
 
 
 CURVE_CSV_HEADER = "n_max,rate_hz,fidelity_at_creation,fidelity_after_readout"
@@ -416,11 +424,8 @@ def simulate_timeline(config: ProtocolConfig,
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
     states, p_cond = _window_components(config)
-    target = target_cat(TargetCatSpec(), config.cutoff)
-    t = config.per_trip_transmission ** config.readout_trips
-    fid_out = np.array([fidelity_to_pure(DensityOperator(stored, config.cutoff), target)
-                        for block in _blocks(len(states), config.cutoff.dimension)
-                        for stored in _lose(states[block], t)])
+    _, fid_out = _window_fidelities(states, target_cat(TargetCatSpec(), config.cutoff),
+                                    config.per_trip_transmission ** config.readout_trips)
 
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))

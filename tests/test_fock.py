@@ -350,6 +350,16 @@ def test_target_cat_deficit_is_the_true_tail_at_cutoff_80(spec):
     assert np.max(np.abs(cat.amplitudes - amps)) <= 1e-14
 
 
+def test_target_cat_is_built_once_per_spec_and_cutoff_and_read_only():
+    spec = TargetCatSpec(1.2, 2.0)
+    cat = target_cat(spec, FockCutoff(30))
+    assert target_cat(TargetCatSpec(1.2, 2.0), FockCutoff(30)) is cat
+    assert target_cat(spec, FockCutoff(31)) is not cat
+    assert not cat.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        cat.amplitudes[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # quadrature wavefunctions
 

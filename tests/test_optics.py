@@ -11,9 +11,9 @@ from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       hermite_functions, homodyne_povm, loss_channel,
                       partial_trace, quadrature_wavefunction,
                       single_photon_state, storage_evolve)
-from catbreed.fock import StateVector, _log_factorial
+from catbreed.fock import MAX_CUTOFF, StateVector, _log_factorial
 from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary, _breed,
-                             _lose, _loss_amplitudes, _window_matrix)
+                             _lose, _loss_amplitudes, _loss_table, _window_matrix)
 from conftest import (random_density, random_pure, reference_window_matrix,
                       smear_povm)
 
@@ -373,6 +373,16 @@ def test_loss_amplitudes_match_the_row_loop_bit_for_bit(d):
     stacked = _loss_amplitudes([0.0, 0.37, 1.0], d)
     for eta, got in zip([0.0, 0.37, 1.0], stacked):
         assert np.array_equal(got, _loss_amplitudes(eta, d))
+
+
+def test_loss_tables_are_read_only_and_bounded_at_the_largest_cutoff():
+    table = _loss_table(MAX_CUTOFF + 1)
+    assert _loss_table(MAX_CUTOFF + 1) is table
+    for arr in table:
+        assert not arr.flags.writeable
+    # the cache holds at most maxsize tables of the largest dimension
+    per_table = sum(arr.nbytes for arr in table)
+    assert _loss_table.cache_info().maxsize * per_table < 30_000_000
 
 
 def test_povm_rejects_bad_detector_efficiency():

@@ -16,6 +16,7 @@ from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
                       storage_evolve, target_cat, window_probability,
                       write_curve_csv, write_event_log)
 import catbreed.protocol as protocol
+from catbreed.optics import _lose
 from catbreed.protocol import (MAX_EXPECTED_HERALDS, MAX_WINDOW_BYTES,
                                _herald_pulses, _window_components)
 from conftest import random_density
@@ -217,6 +218,15 @@ def test_pipeline_states_are_physical_and_chained():
         states.measured.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("config", [CFG, replace(CFG, n_min=3, two_photon_weight=0.05,
+                                                  condition_with_detector_efficiency=True)])
+def test_pipeline_creation_is_the_heralded_mixture_bit_for_bit(config):
+    states = pipeline_states(config)
+    creation, p_mean = heralded_mixture(config, config.n_max)
+    assert np.array_equal(states.creation.matrix, creation.matrix)
+    assert states.mean_condition_probability == p_mean
+
+
 def test_pipeline_fidelity_degrades_along_the_chain():
     cat = target_cat(TargetCatSpec(), CFG.cutoff)
     states = pipeline_states(CFG)
@@ -302,6 +312,95 @@ def test_curve_csv_matches_the_per_row_oracle(tmp_path):
         write_curve_csv(case, table)
         reference_curve_csv(case, reference)
         assert table.read_bytes() == reference.read_bytes()
+
+
+def heralded_mixture(config, n_max):
+    """Oracle: creation state and mean herald probability at storage depth
+    n_max <= config.n_max, the per-gap states mixed by the normalised gap law."""
+    states, probs = _window_components(config)
+    gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
+    creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
+    p_mean = 0.0
+    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):
+        creation_mat += w * state
+        p_mean += w * prob
+    return DensityOperator(creation_mat, config.cutoff), p_mean
+
+
+def reference_curve(config, n_max_values, target=None):
+    """Oracle: the per-row curve the running sums replaced, one heralded
+    mixture per n_max, then the readout loss, then fidelity_to_pure."""
+    if target is None:
+        target = target_cat(TargetCatSpec(), config.cutoff)
+    wide = replace(config, n_max=max(n_max_values))
+    t = config.per_trip_transmission ** config.readout_trips
+    rows = []
+    for m in n_max_values:
+        creation, p_mean = heralded_mixture(wide, m)
+        stored = DensityOperator(_lose(creation.matrix, t), config.cutoff)
+        rows.append(CurveRow(m, generation_rate(replace(config, n_max=m), p_mean),
+                             fidelity_to_pure(creation, target),
+                             fidelity_to_pure(stored, target)))
+    return rows
+
+
+def assert_rows_match(rows, want):
+    assert [r.n_max for r in rows] == [r.n_max for r in want]
+    for got, ref in zip(rows, want):
+        assert abs(got.rate_hz - ref.rate_hz) <= 1e-14 * ref.rate_hz
+        assert abs(got.fidelity_at_creation - ref.fidelity_at_creation) <= 1e-14
+        assert abs(got.fidelity_after_readout - ref.fidelity_after_readout) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [20, 40])
+@pytest.mark.parametrize("per_trip", [1.0, DEFAULT_PER_TRIP_TRANSMISSION])
+@pytest.mark.parametrize("cond_eff", [False, True])
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_curve_matches_the_per_row_oracle(w2, cond_eff, per_trip, cutoff):
+    # a window at n_min > 1 whose readout spans more than one block of gaps
+    top = 3 + protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 5
+    config = replace(CFG, n_min=3, two_photon_weight=w2,
+                     condition_with_detector_efficiency=cond_eff,
+                     per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
+    n_max_values = [3, 4, 17, top - 1, top]
+    assert_rows_match(fidelity_vs_storage_curve(config, n_max_values),
+                      reference_curve(config, n_max_values))
+
+
+def test_curve_rows_follow_unsorted_and_repeated_values():
+    n_max_values = [9, 1, 30, 9, 4, 30, 1]
+    rows = fidelity_vs_storage_curve(CFG, n_max_values)
+    assert_rows_match(rows, reference_curve(CFG, n_max_values))
+    by_n_max = {r.n_max: r for r in fidelity_vs_storage_curve(CFG, sorted(set(n_max_values)))}
+    assert rows == [by_n_max[m] for m in n_max_values]
+
+
+def test_curve_refuses_a_target_at_another_cutoff():
+    with pytest.raises(DomainError, match="matching cutoffs"):
+        fidelity_vs_storage_curve(CFG, [1, 5], target_cat(TargetCatSpec(), FockCutoff(30)))
+    target = fock_state(2, CFG.cutoff)
+    assert_rows_match(fidelity_vs_storage_curve(CFG, [1, 5], target),
+                      reference_curve(CFG, [1, 5], target))
+
+
+def test_curve_reads_out_once_per_block_of_the_window(monkeypatch):
+    # a 1000-value curve: one stacked readout loss per block of the window,
+    # none per row
+    config = replace(CFG, n_max=1000)
+    _window_components(config)      # bred before the count starts
+    calls = []
+
+    def counted(matrix, transmission):
+        calls.append(len(matrix))
+        return _lose(matrix, transmission)
+
+    monkeypatch.setattr(protocol, "_lose", counted)
+    rows = fidelity_vs_storage_curve(config, list(range(1, 1001)))
+    blocks = protocol._blocks(1000, CFG.cutoff.dimension)
+    assert len(blocks) > 1
+    assert calls == [len(range(1000)[block]) for block in blocks]
+    assert_rows_match([rows[0], rows[499], rows[-1]],
+                      reference_curve(config, [1, 500, 1000]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +522,23 @@ def test_window_components_match_the_per_gap_loop(w2, cond_eff, per_trip, cutoff
                      config.conditioning_efficiency)
         assert np.array_equal(state, want.state.matrix)
         assert prob == want.probability
+
+
+@pytest.mark.parametrize("cutoff", [20, 40])
+def test_window_fidelities_are_fidelity_to_pure_bit_for_bit(cutoff):
+    # the timeline's mean output fidelity sums these per gap, and a stacked
+    # matrix-vector product moves its last bit
+    config = replace(CFG, n_max=protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 6,
+                     two_photon_weight=0.05, cutoff=FockCutoff(cutoff))
+    states, _ = _window_components(config)
+    target = target_cat(TargetCatSpec(), config.cutoff)
+    t = config.per_trip_transmission ** config.readout_trips
+    created, stored = protocol._window_fidelities(states, target, t)
+    for state, f_created, f_stored in zip(states, created, stored):
+        assert f_created == fidelity_to_pure(DensityOperator(state, config.cutoff), target)
+        assert f_stored == fidelity_to_pure(
+            storage_evolve(DensityOperator(state, config.cutoff), config.readout_trips,
+                           config.per_trip_transmission), target)
 
 
 def test_a_window_that_cannot_herald_is_refused():
