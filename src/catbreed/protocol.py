@@ -227,11 +227,12 @@ def _blocks(count: int, dimension: int) -> list[slice]:
 
 
 @lru_cache(maxsize=2)
-def _window_components(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only heralded states (G, D, D) and herald probabilities (G,) of
-    the G storage lengths n_min .. n_max: the first photon degraded by n round
-    trips, the second fresh. Each of _blocks is one stacked loss at eta^n and
-    one stacked breed; refused, before the first breed, above MAX_WINDOW_BYTES."""
+def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
+    """Read-only (w, p, states) of the gaps n = n_min .. n_max: the gap law
+    w_n = (1-p)^(n-1) p, unnormalised (0 at f_herald = 0), the herald probabilities
+    p_n and the (G, D, D) heralded states, the first photon lost over n round
+    trips, the second fresh. Each of _blocks is one stacked loss and breed;
+    refused, before the first breed, above MAX_WINDOW_BYTES."""
     count, dim = config.n_max - config.n_min + 1, config.cutoff.dimension
     size = count * dim ** 2 * 16
     if size > MAX_WINDOW_BYTES:
@@ -247,9 +248,17 @@ def _window_components(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
         lost = _lose(fresh, [config.per_trip_transmission ** n for n in gaps[block]])
         bred, probs[block] = _breed(lost, fresh, config.window, config.conditioning_efficiency)
         states[block, :bred.shape[-1], :bred.shape[-1]] = bred
-    for arr in (states, probs):
+    gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
+    window = gap_law, probs, states
+    for arr in window:
         arr.setflags(write=False)
-    return states, probs
+    return window
+
+
+def _require_heralds(config: ProtocolConfig) -> None:
+    if config.p_trip == 0.0:
+        raise DomainError("f_herald is 0: no photon is ever heralded, so the heralded "
+                          "mixture over storage lengths is undefined")
 
 
 def _window_fidelities(states: np.ndarray, target: StateVector,
@@ -263,17 +272,6 @@ def _window_fidelities(states: np.ndarray, target: StateVector,
         return ((v.conj() @ stack)[:, None] @ v[:, None])[:, 0, 0].real
     return overlaps(states), np.concatenate([overlaps(_lose(states[block], transmission))
                                              for block in _blocks(len(states), states.shape[-1])])
-
-
-def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unnormalised gap law (1-p)^(n-1) p beside _window_components; refused
-    at f_herald = 0, where the law has no mass, before anything is bred."""
-    if config.p_trip == 0.0:
-        raise DomainError("f_herald is 0: no photon is ever heralded, so the heralded "
-                          "mixture over storage lengths is undefined")
-    states, probs = _window_components(config)
-    gaps = np.arange(config.n_min, config.n_max + 1)
-    return (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip, states, probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +292,8 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     stored state adds the readout storage loss; the measured state adds
     the homodyne detection loss.
     """
-    gap_law, states, probs = _heralded_window(config)
+    _require_heralds(config)
+    gap_law, probs, states = _heralded_window(config)
     creation_mat, p_mean = np.zeros((config.cutoff.dimension,) * 2, dtype=complex), 0.0
     for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):
         creation_mat += w * state
@@ -334,7 +333,8 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
         target = target_cat(TargetCatSpec(), config.cutoff)
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
-    gap_law, states, probs = _heralded_window(replace(config, n_max=max(n_max_values)))
+    _require_heralds(config)
+    gap_law, probs, states = _heralded_window(replace(config, n_max=max(n_max_values)))
     fidelities = _window_fidelities(states, target,
                                     config.per_trip_transmission ** config.readout_trips)
     rows = np.asarray(n_max_values) - config.n_min
@@ -423,7 +423,7 @@ def simulate_timeline(config: ProtocolConfig,
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
-    states, p_cond = _window_components(config)
+    _, p_cond, states = _heralded_window(config)
     _, fid_out = _window_fidelities(states, target_cat(TargetCatSpec(), config.cutoff),
                                     config.per_trip_transmission ** config.readout_trips)
 

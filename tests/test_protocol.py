@@ -18,7 +18,7 @@ from catbreed import (CURVE_CSV_HEADER, DEFAULT_PER_TRIP_TRANSMISSION,
 import catbreed.protocol as protocol
 from catbreed.optics import _lose
 from catbreed.protocol import (MAX_EXPECTED_HERALDS, MAX_WINDOW_BYTES,
-                               _herald_pulses, _window_components)
+                               _herald_pulses, _heralded_window)
 from conftest import random_density
 
 CFG = ProtocolConfig()
@@ -317,7 +317,7 @@ def test_curve_csv_matches_the_per_row_oracle(tmp_path):
 def heralded_mixture(config, n_max):
     """Oracle: creation state and mean herald probability at storage depth
     n_max <= config.n_max, the per-gap states mixed by the normalised gap law."""
-    states, probs = _window_components(config)
+    _, probs, states = _heralded_window(config)
     gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
     p_mean = 0.0
@@ -387,7 +387,7 @@ def test_curve_reads_out_once_per_block_of_the_window(monkeypatch):
     # a 1000-value curve: one stacked readout loss per block of the window,
     # none per row
     config = replace(CFG, n_max=1000)
-    _window_components(config)      # bred before the count starts
+    _heralded_window(config)        # bred before the count starts
     calls = []
 
     def counted(matrix, transmission):
@@ -442,7 +442,7 @@ FAST = replace(CFG, f_herald=5e6, rng_seed=7)
 
 def expected_cycle_success(config: ProtocolConfig) -> float:
     """Per-cycle success probability shared by the closed form and the MC."""
-    _, probs = _window_components(config)
+    _, probs, _ = _heralded_window(config)
     p = config.p_trip
     return config.beta_elec * sum(
         (1.0 - p) ** (n - 1) * p * probs[n - config.n_min]
@@ -496,9 +496,9 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     # window it accepts goes on to breed, one gap more is refused
     widest = MAX_WINDOW_BYTES // (21 ** 2 * 16)
     with pytest.raises(AssertionError, match="storage window was checked"):
-        _window_components(replace(CFG, n_max=widest))
+        _heralded_window(replace(CFG, n_max=widest))
     with pytest.raises(DomainError, match="per-gap states"):
-        _window_components(replace(CFG, n_max=widest + 1))
+        _heralded_window(replace(CFG, n_max=widest + 1))
     # the default 15-gap window stays far below the cap
     assert 15 * 21 ** 2 * 16 < MAX_WINDOW_BYTES / 1000
 
@@ -515,7 +515,7 @@ def test_window_components_match_the_per_gap_loop(w2, cond_eff, per_trip, cutoff
                      condition_with_detector_efficiency=cond_eff,
                      per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
     fresh = single_photon_state(config.photon_fidelity, w2, config.cutoff)
-    states, probs = _window_components(config)
+    _, probs, states = _heralded_window(config)
     assert states.shape == (gaps, cutoff + 1, cutoff + 1)
     for n, state, prob in zip(range(config.n_min, config.n_max + 1), states, probs):
         want = breed(storage_evolve(fresh, n, per_trip), fresh, config.window,
@@ -530,7 +530,7 @@ def test_window_fidelities_are_fidelity_to_pure_bit_for_bit(cutoff):
     # matrix-vector product moves its last bit
     config = replace(CFG, n_max=protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 6,
                      two_photon_weight=0.05, cutoff=FockCutoff(cutoff))
-    states, _ = _window_components(config)
+    *_, states = _heralded_window(config)
     target = target_cat(TargetCatSpec(), config.cutoff)
     t = config.per_trip_transmission ** config.readout_trips
     created, stored = protocol._window_fidelities(states, target, t)
@@ -546,7 +546,7 @@ def test_a_window_that_cannot_herald_is_refused():
     # probability below 1e-12 at every gap
     narrow = replace(CFG, window=AcceptanceWindow(1e-14))
     with pytest.raises(HeraldImpossibleError):
-        _window_components(narrow)
+        _heralded_window(narrow)
     with pytest.raises(HeraldImpossibleError):
         pipeline_states(narrow)
 
@@ -560,11 +560,11 @@ def test_window_components_memory_follows_the_states(w2, cutoff, gaps):
     config = replace(CFG, n_max=gaps, two_photon_weight=w2, cutoff=FockCutoff(cutoff))
     tracemalloc.start()
     try:
-        states, _ = _window_components(config)
+        *_, states = _heralded_window(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _window_components.cache_clear()
+        _heralded_window.cache_clear()
     assert states.nbytes == gaps * (cutoff + 1) ** 2 * 16
     assert peak < 1.5 * states.nbytes
 
@@ -583,7 +583,7 @@ def test_readouts_of_large_states_follow_the_window():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            _window_components.cache_clear()
+            _heralded_window.cache_clear()
         assert peak < 1.5 * window_bytes
 
 
@@ -603,7 +603,7 @@ def reference_timeline(config: ProtocolConfig, duration_s: float):
     else:
         u_live = u_cond = np.zeros(0)
 
-    states, probs = _window_components(config)
+    _, probs, states = _heralded_window(config)
     p_cond = dict(enumerate(probs, start=config.n_min))
     target = target_cat(TargetCatSpec(), config.cutoff)
     fid_out = {
