@@ -228,11 +228,11 @@ def _blocks(count: int, dimension: int) -> list[slice]:
 
 @lru_cache(maxsize=2)
 def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
-    """Read-only (w, p, states) of the gaps n = n_min .. n_max: the gap law
+    """Read-only (w, p, w p, states) of the gaps n = n_min .. n_max: the gap law
     w_n = (1-p)^(n-1) p, unnormalised (0 at f_herald = 0), the herald probabilities
-    p_n and the (G, D, D) heralded states, the first photon lost over n round
-    trips, the second fresh. Each of _blocks is one stacked loss and breed;
-    refused, before the first breed, above MAX_WINDOW_BYTES."""
+    p_n, the success weight w_n p_n and the (G, D, D) heralded states, the first
+    photon lost over n round trips, the second fresh. Each of _blocks is one stacked
+    loss and breed; refused, before the first breed, above MAX_WINDOW_BYTES."""
     count, dim = config.n_max - config.n_min + 1, config.cutoff.dimension
     size = count * dim ** 2 * 16
     if size > MAX_WINDOW_BYTES:
@@ -249,7 +249,7 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
         bred, probs[block] = _breed(lost, fresh, config.window, config.conditioning_efficiency)
         states[block, :bred.shape[-1], :bred.shape[-1]] = bred
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    window = gap_law, probs, states
+    window = gap_law, probs, gap_law * probs, states
     for arr in window:
         arr.setflags(write=False)
     return window
@@ -287,16 +287,18 @@ class PipelineStates:
 def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     """Simulate the full protocol at one operating point.
 
-    The creation state is the statistical mixture over first-photon
-    storage lengths weighted by the in-window geometric gap law; the
-    stored state adds the readout storage loss; the measured state adds
-    the homodyne detection loss.
+    The creation state is the mixture over first-photon storage lengths n
+    by the success weight w_n p_n, which the curve and the timeline share;
+    the stored state adds the readout storage loss; the measured state adds
+    the homodyne detection loss. mean_condition_probability averages p_n
+    over the in-window gap law w_n.
     """
     _require_heralds(config)
-    gap_law, probs, states = _heralded_window(config)
+    gap_law, probs, success, states = _heralded_window(config)
     creation_mat, p_mean = np.zeros((config.cutoff.dimension,) * 2, dtype=complex), 0.0
-    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):
-        creation_mat += w * state
+    for u, w, state, prob in zip(success / success.sum(), gap_law / gap_law.sum(),
+                                 states, probs):
+        creation_mat += u * state
         p_mean += w * prob
     creation = DensityOperator(creation_mat, config.cutoff)
     stored = storage_evolve(creation, config.readout_trips,
@@ -318,12 +320,13 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
                               target: StateVector | None = None) -> list[CurveRow]:
     """Rate/fidelity trade-off versus the maximum storage window length.
 
-    <psi|rho|psi> and the herald probability are linear in rho, so the row
-    at n_max is a running sum over the gaps n_min .. n_max of w_n <psi|rho_n|psi>
-    (at creation, and after the readout storage trips) and of w_n p_n, over
-    the running sum of the gap law w_n. The per-gap states are bred once for
-    the widest n_max and read out by ``_window_fidelities``, so the cost is
-    linear in the window, whatever the number of rows.
+    <psi|rho|psi> is linear in rho, so each fidelity at n_max is a running sum
+    over the gaps n_min .. n_max of w_n p_n <psi|rho_n|psi> (at creation, and
+    after the readout storage trips) over the running sum of the success
+    weight w_n p_n that pipeline_states and the timeline share; the rate is
+    generation_rate at the gap-law average of p_n. The per-gap states are
+    bred once for the widest n_max and read out by ``_window_fidelities``,
+    so the cost is linear in the window, whatever the number of rows.
     """
     if len(n_max_values) == 0:
         raise DomainError("n_max_values must be non-empty")
@@ -334,12 +337,13 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
     _require_heralds(config)
-    gap_law, probs, states = _heralded_window(replace(config, n_max=max(n_max_values)))
+    gap_law, _, success, states = _heralded_window(replace(config, n_max=max(n_max_values)))
     fidelities = _window_fidelities(states, target,
                                     config.per_trip_transmission ** config.readout_trips)
     rows = np.asarray(n_max_values) - config.n_min
-    created, stored, p_mean = (np.cumsum(gap_law * x)[rows] / np.cumsum(gap_law)[rows]
-                               for x in (*fidelities, probs))
+    heralded = np.cumsum(success)[rows]
+    created, stored = (np.cumsum(success * f)[rows] / heralded for f in fidelities)
+    p_mean = heralded / np.cumsum(gap_law)[rows]
     scale = config.f_herald / 3.0 * config.beta_elec   # generation_rate at each n_max
     return [CurveRow(m, scale * p * window_probability(config.p_trip, config.n_min, m),
                      float(f_created), float(f_stored))
@@ -423,7 +427,7 @@ def simulate_timeline(config: ProtocolConfig,
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
-    _, p_cond, states = _heralded_window(config)
+    _, p_cond, _, states = _heralded_window(config)
     _, fid_out = _window_fidelities(states, target_cat(TargetCatSpec(), config.cutoff),
                                     config.per_trip_transmission ** config.readout_trips)
 

@@ -172,9 +172,9 @@ def test_pipeline_states_operating_point_fidelities():
     cat = target_cat(TargetCatSpec(), CFG.cutoff)
     states = pipeline_states(CFG)
     assert fidelity_to_pure(states.creation, cat) == pytest.approx(
-        0.748648505, abs=1e-6)
+        0.748826341, abs=1e-6)
     assert fidelity_to_pure(states.stored, cat) == pytest.approx(
-        0.620132481, abs=1e-6)
+        0.620263522, abs=1e-6)
     assert states.mean_condition_probability == pytest.approx(
         0.221924083, abs=1e-6)
 
@@ -184,9 +184,9 @@ def test_pipeline_states_with_conditioning_inefficiency():
     cat = target_cat(TargetCatSpec(), cfg.cutoff)
     states = pipeline_states(cfg)
     assert fidelity_to_pure(states.creation, cat) == pytest.approx(
-        0.673132273, abs=1e-6)
+        0.673092760, abs=1e-6)
     assert fidelity_to_pure(states.stored, cat) == pytest.approx(
-        0.556011684, abs=1e-6)
+        0.555983486, abs=1e-6)
 
 
 def test_pipeline_states_need_heralds(monkeypatch):
@@ -225,6 +225,27 @@ def test_pipeline_creation_is_the_heralded_mixture_bit_for_bit(config):
     creation, p_mean = heralded_mixture(config, config.n_max)
     assert np.array_equal(states.creation.matrix, creation.matrix)
     assert states.mean_condition_probability == p_mean
+
+
+@pytest.mark.parametrize("cond_eff", [False, True])
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_pipeline_curve_and_timeline_share_one_success_weight(w2, cond_eff):
+    # a sequence succeeds at gap n with probability w_n p_n, so the stored
+    # pipeline state, the curve's row at n_max and the timeline's expected mean
+    # output fidelity all weight the per-gap stored states by it
+    config = replace(CFG, two_photon_weight=w2, condition_with_detector_efficiency=cond_eff)
+    cat = target_cat(TargetCatSpec(), config.cutoff)
+    _, probs, _, states = _heralded_window(config)
+    gaps = np.arange(config.n_min, config.n_max + 1)
+    success = (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip * probs
+    stored = [fidelity_to_pure(storage_evolve(DensityOperator(state, config.cutoff),
+                                              config.readout_trips,
+                                              config.per_trip_transmission), cat)
+              for state in states]
+    expected = np.dot(success, stored) / success.sum()
+    row = fidelity_vs_storage_curve(config, [config.n_max])[0]
+    assert abs(fidelity_to_pure(pipeline_states(config).stored, cat) - expected) <= 1e-14
+    assert abs(row.fidelity_after_readout - expected) <= 1e-14
 
 
 def test_pipeline_fidelity_degrades_along_the_chain():
@@ -316,13 +337,16 @@ def test_curve_csv_matches_the_per_row_oracle(tmp_path):
 
 def heralded_mixture(config, n_max):
     """Oracle: creation state and mean herald probability at storage depth
-    n_max <= config.n_max, the per-gap states mixed by the normalised gap law."""
-    _, probs, states = _heralded_window(config)
+    n_max <= config.n_max. The per-gap states mix by the success weight
+    w_n p_n normalised, the herald probabilities by the normalised gap law w_n."""
+    _, probs, _, states = (x[:n_max - config.n_min + 1] for x in _heralded_window(config))
     gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
+    success = gap_law * probs
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
     p_mean = 0.0
-    for w, state, prob in zip(gap_law / gap_law.sum(), states, probs):
-        creation_mat += w * state
+    for u, w, state, prob in zip(success / success.sum(), gap_law / gap_law.sum(),
+                                 states, probs):
+        creation_mat += u * state
         p_mean += w * prob
     return DensityOperator(creation_mat, config.cutoff), p_mean
 
@@ -387,7 +411,7 @@ def test_curve_reads_out_once_per_block_of_the_window(monkeypatch):
     # a 1000-value curve: one stacked readout loss per block of the window,
     # none per row
     config = replace(CFG, n_max=1000)
-    _heralded_window(config)        # bred before the count starts
+    _heralded_window(config)      # bred before the count starts
     calls = []
 
     def counted(matrix, transmission):
@@ -442,7 +466,7 @@ FAST = replace(CFG, f_herald=5e6, rng_seed=7)
 
 def expected_cycle_success(config: ProtocolConfig) -> float:
     """Per-cycle success probability shared by the closed form and the MC."""
-    _, probs, _ = _heralded_window(config)
+    _, probs, _, _ = _heralded_window(config)
     p = config.p_trip
     return config.beta_elec * sum(
         (1.0 - p) ** (n - 1) * p * probs[n - config.n_min]
@@ -515,7 +539,7 @@ def test_window_components_match_the_per_gap_loop(w2, cond_eff, per_trip, cutoff
                      condition_with_detector_efficiency=cond_eff,
                      per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
     fresh = single_photon_state(config.photon_fidelity, w2, config.cutoff)
-    _, probs, states = _heralded_window(config)
+    _, probs, _, states = _heralded_window(config)
     assert states.shape == (gaps, cutoff + 1, cutoff + 1)
     for n, state, prob in zip(range(config.n_min, config.n_max + 1), states, probs):
         want = breed(storage_evolve(fresh, n, per_trip), fresh, config.window,
@@ -603,7 +627,7 @@ def reference_timeline(config: ProtocolConfig, duration_s: float):
     else:
         u_live = u_cond = np.zeros(0)
 
-    _, probs, states = _heralded_window(config)
+    _, probs, _, states = _heralded_window(config)
     p_cond = dict(enumerate(probs, start=config.n_min))
     target = target_cat(TargetCatSpec(), config.cutoff)
     fid_out = {
