@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .errors import (CatbreedError, ConfigError, ConvergenceError,
                      DomainError, HeraldImpossibleError, TruncationError)
-from .fock import (DensityOperator, FockCutoff, TargetCatSpec, fidelity_to_pure,
-                   pad_density_operator, target_cat, wigner_grid)
+from .fock import (FockCutoff, TargetCatSpec, fidelity_to_pure, pad_density_operator,
+                   target_cat, wigner_grid)
 from .optics import AcceptanceWindow, breed, loss_channel, single_photon_state
 from .protocol import (ProtocolConfig, calibrate_beta_elec,
                        fidelity_vs_storage_curve, generation_rate,
@@ -186,17 +186,6 @@ def _parse_phase_spec(spec: str) -> np.ndarray:
         raise ConfigError(f"cannot parse phases {spec!r}") from exc
 
 
-def _stage_state(config: ProtocolConfig, stage: str) -> DensityOperator:
-    states = pipeline_states(config)
-    if stage == "both":
-        return states.creation
-    if stage == "detection":
-        return states.stored
-    if stage == "storage":
-        return loss_channel(states.creation, config.eta_homodyne)
-    return states.measured
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each computes, prints its summary lines and returns its
 # output files as {file name: writer(path)}; main writes them
@@ -273,7 +262,11 @@ def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
     if args.state_file is not None:
         stage_states = {"none": read_density_csv(args.state_file)}
     else:
-        stage_states = {tok: _stage_state(config, tok) for tok in corrections}
+        states = pipeline_states(config)
+        stage_states = {"both": states.creation, "detection": states.stored,
+                        "none": states.measured}
+        if "storage" in corrections:
+            stage_states["storage"] = loss_channel(states.creation, config.eta_homodyne)
 
     files = {}
     for tok in corrections:

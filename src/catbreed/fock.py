@@ -139,8 +139,9 @@ def _support_dimension(matrix: np.ndarray) -> int:
     zero, so operations that cannot raise the photon number may act on
     that block alone.
     """
-    *_, rows, cols = np.nonzero(matrix)
-    return int(max(rows.max(), cols.max())) + 1 if rows.size else 1
+    mask = (matrix != 0).any(axis=tuple(range(matrix.ndim - 2)))
+    occupied = np.flatnonzero(mask.any(axis=0) | mask.any(axis=1))
+    return int(occupied[-1]) + 1 if occupied.size else 1
 
 
 def _exp_minus_i(h: np.ndarray) -> np.ndarray:

@@ -116,6 +116,8 @@ class ProtocolConfig:
             raise DomainError("homodyne efficiency must lie in (0, 1]")
         if self.readout_trips < 0:
             raise DomainError("readout_trips must be >= 0")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def p_trip(self) -> float:

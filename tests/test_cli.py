@@ -15,6 +15,7 @@ from catbreed import (EVENT_KINDS, DensityOperator, FockCutoff, ProtocolConfig,
                       read_density_csv, read_meta, target_cat, wigner_grid,
                       write_density_csv)
 import catbreed.cli as cli
+import catbreed.protocol as protocol
 from catbreed.cli import OUTPUT_ROOT_ENV, main
 from conftest import random_density
 
@@ -237,6 +238,25 @@ def test_wigner_pipeline_stage_map(tmp_path, capsys):
         grid = read_wigner_csv(out / f"wigner_{tok}.csv")
         np.testing.assert_allclose(grid, wigner_grid(rho, axis, axis),
                                    atol=1e-9)
+
+
+@pytest.mark.parametrize("corrections, losses", [("both,detection,none", 0),
+                                                  ("storage,none,storage", 1)])
+def test_wigner_stages_share_one_pipeline(tmp_path, capsys, monkeypatch, corrections,
+                                          losses):
+    # one pipeline_states for every stage; the storage stage's extra loss runs
+    # only when that stage is asked for
+    calls = []
+    for name in ("pipeline_states", "loss_channel"):
+        def counted(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run_cli(["wigner", "--output-dir", str(tmp_path / "run"), "--pipeline",
+                          "--corrections", corrections, "--grid=-3:3:5"], capsys)
+    assert code == 0
+    assert calls.count("pipeline_states") == 1
+    assert calls.count("loss_channel") == losses
 
 
 def test_wigner_ideal_pipeline_approaches_target(tmp_path, capsys):
@@ -806,6 +826,24 @@ def test_config_file_error_paths(tmp_path, capsys):
     code, _, _ = run_cli(
         ["breed", "--output-dir", run, "--config", str(bad_type)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_2_before_anything_is_bred(tmp_path, capsys, monkeypatch,
+                                                       source):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bred before the seed was checked")
+
+    monkeypatch.setattr(protocol, "_breed", unreachable)
+    config = tmp_path / "seed.ini"
+    config.write_text("[protocol]\nrng_seed = -1\n")
+    out = tmp_path / "run"
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+    code, _, err = run_cli(["simulate", "--duration-s", "1e-4", *seed,
+                            "--output-dir", str(out)], capsys)
+    assert code == 2
+    assert "rng_seed must be >= 0" in err
+    assert not out.exists()
 
 
 def test_output_root_environment_variable(tmp_path, capsys, monkeypatch):

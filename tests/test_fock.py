@@ -158,6 +158,33 @@ def test_pad_density_operator_preserves_content():
     assert np.array_equal(wigner_grid(big, xs, xs), wigner_grid(rho, xs, xs))
 
 
+def test_support_dimension_matches_the_nonzero_definition():
+    # Oracle: 1 + the highest row or column index np.nonzero finds anywhere
+    # in the stack, or 1 when it finds none
+    def nonzero_support(matrix):
+        *_, rows, cols = np.nonzero(matrix)
+        return int(max(rows.max(), cols.max())) + 1 if rows.size else 1
+
+    rng = np.random.default_rng(21)
+    cases = [np.zeros(shape, dtype=complex) for shape in ((6, 6), (3, 6, 6), (2, 2, 6, 6))]
+    for shape in ((9, 9), (4, 9, 9), (2, 3, 9, 9)):
+        for (row, col), value in zip([(0, 0), (6, 2), (1, 8), (8, 8), (3, 5), (7, 0)],
+                                     [1.0, 1e-300, 1j, np.nan, complex(np.nan, 0), -0.0]):
+            matrix = np.zeros(shape, dtype=complex)
+            matrix[tuple(rng.integers(n) for n in shape[:-2]) + (row, col)] = value
+            cases.append(matrix)
+        support = rng.integers(1, 10)
+        dense = np.zeros(shape, dtype=complex)
+        dense[..., :support, :support] = rng.normal(size=shape[:-2] + (support, support))
+        cases.append(dense)
+    for matrix in cases:
+        assert _support_dimension(matrix) == nonzero_support(matrix)
+    assert _support_dimension(np.zeros((3, 6, 6), dtype=complex)) == 1
+    nan = np.zeros((2, 6, 6), dtype=complex)
+    nan[1, 4, 2] = np.nan
+    assert _support_dimension(nan) == 5
+
+
 # ---------------------------------------------------------------------------
 # squeezing
 

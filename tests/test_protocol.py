@@ -450,6 +450,9 @@ def test_protocol_config_rejects_bad_values():
         replace(CFG, eta_homodyne=0.0)
     with pytest.raises(DomainError):
         replace(CFG, readout_trips=-1)
+    # numpy's generators take no negative seed; refused before anything is bred
+    with pytest.raises(DomainError, match="rng_seed must be >= 0"):
+        replace(CFG, rng_seed=-1)
 
 
 def test_conditioning_efficiency_follows_flag():
