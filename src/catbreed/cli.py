@@ -243,7 +243,7 @@ def _write_wigner_csv(path, axis: np.ndarray, grid: np.ndarray) -> None:
 
 
 def cmd_wigner(args, config: ProtocolConfig, settings: dict) -> dict:
-    corrections = [tok.strip() for tok in args.corrections.split(",") if tok.strip()]
+    corrections = list(dict.fromkeys(t.strip() for t in args.corrections.split(",") if t.strip()))
     if not corrections:
         raise ConfigError("need at least one correction stage")
     for tok in corrections:

@@ -23,6 +23,7 @@ from .fock import (
     FockCutoff,
     StateVector,
     TargetCatSpec,
+    pad_density_operator,
     target_cat,
 )
 from .optics import AcceptanceWindow, _breed, _lose, loss_channel, single_photon_state
@@ -215,43 +216,41 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
     return float(beta)
 
 
-# per-gap states, 16 bytes a matrix entry, stay below the other caps' 0.9 GB
+# a window peaks at about 290 bytes a gap at s = 2 and 610 at s = 3 at any cutoff
+# (tracemalloc); the cap counts 80 bytes an entry of the photon's s x s block
 MAX_WINDOW_BYTES = 900_000_000
-# bytes of states one stacked loss or breed makes at a time, so transient memory
-# follows this block, not the window or the cutoff: 256 gaps at cutoff 20
-_BLOCK_BYTES = 256 * 21 ** 2 * 16
-
-
-def _blocks(count: int, dimension: int) -> list[slice]:
-    """Slices of ``count`` stacked states of ``dimension`` that fill _BLOCK_BYTES."""
-    step = max(1, _BLOCK_BYTES // (16 * dimension ** 2))
-    return [slice(i, i + step) for i in range(0, count, step)]
+_GAP_ENTRY_BYTES = 80
 
 
 @lru_cache(maxsize=2)
 def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
-    """Read-only (w, p, w p, states) of the gaps n = n_min .. n_max: the gap law
-    w_n = (1-p)^(n-1) p, unnormalised (0 at f_herald = 0), the herald probabilities
-    p_n, the success weight w_n p_n and the (G, D, D) heralded states, the first
-    photon lost over n round trips, the second fresh. Each of _blocks is one stacked
-    loss and breed; refused, before the first breed, above MAX_WINDOW_BYTES."""
-    count, dim = config.n_max - config.n_min + 1, config.cutoff.dimension
-    size = count * dim ** 2 * 16
+    """Read-only (w, sigma, c) of the gaps n = n_min .. n_max, the first photon lost
+    over n round trips, the second fresh; w_n = (1-p)^(n-1) p, the gap law, is 0 at
+    f_herald = 0. The photon is diagonal in the Fock basis, loss keeps it so and the
+    breed is linear in the held state, so gap n gives p_n rho_n = sum_k c[n, k] sigma_k:
+    sigma (s, d, d) are the breeds of |k><k|, k < s (the photon's support: 2, or 3 if
+    w2 > 0) against the fresh photon, q_k their herald probabilities and
+    c[n, k] = <k|L_eta^n(photon)|k> q_k.
+    p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the basis covers every gap.
+    Refused above MAX_WINDOW_BYTES before the one stacked breed and the one stacked loss."""
+    count, s = config.n_max - config.n_min + 1, 3 if config.two_photon_weight > 0 else 2
+    size = count * s * s * _GAP_ENTRY_BYTES
     if size > MAX_WINDOW_BYTES:
         raise DomainError(
             f"storage window [{config.n_min}, {config.n_max}] would hold {size / 1e9:.3g} GB "
             f"of per-gap states, above {MAX_WINDOW_BYTES / 1e9:g} GB")
-    fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight,
-                                config.cutoff).matrix
-    states, probs = np.zeros((count, dim, dim), dtype=complex), np.empty(count)
-    gaps = range(config.n_min, config.n_max + 1)
-    for block in _blocks(count, dim):
-        # Python's pow, as in storage_evolve: numpy's SIMD power may differ in the last bit
-        lost = _lose(fresh, [config.per_trip_transmission ** n for n in gaps[block]])
-        bred, probs[block] = _breed(lost, fresh, config.window, config.conditioning_efficiency)
-        states[block, :bred.shape[-1], :bred.shape[-1]] = bred
+    # both inputs at the breed's work cutoff, so nothing here grows with the cutoff
+    work = FockCutoff(min(2 * s - 2, config.cutoff.n_max))
+    fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight, work).matrix
+    basis = np.zeros((s,) + fresh.shape, dtype=complex)
+    basis[(range(s),) * 3] = 1.0
+    sigma, q = _breed(basis, fresh, config.window, config.conditioning_efficiency)
+    # Python's pow, as in storage_evolve: numpy's SIMD power may differ in the last bit
+    held = _lose(fresh[:s, :s], [config.per_trip_transmission ** n
+                                 for n in range(config.n_min, config.n_max + 1)])
+    weights = np.diagonal(held, axis1=1, axis2=2).real * q
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    window = gap_law, probs, gap_law * probs, states
+    window = gap_law, sigma, weights
     for arr in window:
         arr.setflags(write=False)
     return window
@@ -263,17 +262,13 @@ def _require_heralds(config: ProtocolConfig) -> None:
                           "mixture over storage lengths is undefined")
 
 
-def _window_fidelities(states: np.ndarray, target: StateVector,
-                       transmission: float) -> tuple[np.ndarray, np.ndarray]:
-    """fidelity_to_pure of each of ``states``, bit for bit, as bred and after loss at
-    ``transmission``. Each row <psi|rho meets |psi> on its own; the loss is one stacked
-    _lose per _blocks slice, reduced to its overlaps before the next slice is lost."""
-    v = target.amplitudes
-
-    def overlaps(stack):
-        return ((v.conj() @ stack)[:, None] @ v[:, None])[:, 0, 0].real
-    return overlaps(states), np.concatenate([overlaps(_lose(states[block], transmission))
-                                             for block in _blocks(len(states), states.shape[-1])])
+def _basis_fidelities(sigma: np.ndarray, target: StateVector,
+                      transmission: float) -> tuple[np.ndarray, np.ndarray]:
+    """The overlaps <psi|sigma_k|psi> of the window's basis outputs with ``target``,
+    as bred and after loss at ``transmission``."""
+    v = target.amplitudes[:sigma.shape[-1]]
+    return tuple(np.einsum("i,kij,j->k", v.conj(), x, v).real
+                 for x in (sigma, _lose(sigma, transmission)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,23 +285,22 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     """Simulate the full protocol at one operating point.
 
     The creation state is the mixture over first-photon storage lengths n
-    by the success weight w_n p_n, which the curve and the timeline share;
-    the stored state adds the readout storage loss; the measured state adds
-    the homodyne detection loss. mean_condition_probability averages p_n
-    over the in-window gap law w_n.
+    by the success weight w_n p_n, which the curve and the timeline share:
+    sum_k (w.c)_k sigma_k / (w.p) over the window's basis outputs. The stored
+    state adds the readout storage loss; the measured state adds the homodyne
+    detection loss. mean_condition_probability averages p_n over the
+    in-window gap law w_n.
     """
     _require_heralds(config)
-    gap_law, probs, success, states = _heralded_window(config)
-    creation_mat, p_mean = np.zeros((config.cutoff.dimension,) * 2, dtype=complex), 0.0
-    for u, w, state, prob in zip(success / success.sum(), gap_law / gap_law.sum(),
-                                 states, probs):
-        creation_mat += u * state
-        p_mean += w * prob
-    creation = DensityOperator(creation_mat, config.cutoff)
+    gap_law, sigma, weights = _heralded_window(config)
+    mix = gap_law @ weights
+    work = DensityOperator(np.tensordot(mix / mix.sum(), sigma, 1),
+                           FockCutoff(sigma.shape[-1] - 1))
+    creation = pad_density_operator(work, config.cutoff)
     stored = storage_evolve(creation, config.readout_trips,
                             config.per_trip_transmission)
     measured = loss_channel(stored, config.eta_homodyne)
-    return PipelineStates(creation, stored, measured, p_mean)
+    return PipelineStates(creation, stored, measured, mix.sum() / gap_law.sum())
 
 
 @dataclass(frozen=True)
@@ -326,9 +320,9 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     over the gaps n_min .. n_max of w_n p_n <psi|rho_n|psi> (at creation, and
     after the readout storage trips) over the running sum of the success
     weight w_n p_n that pipeline_states and the timeline share; the rate is
-    generation_rate at the gap-law average of p_n. The per-gap states are
-    bred once for the widest n_max and read out by ``_window_fidelities``,
-    so the cost is linear in the window, whatever the number of rows.
+    generation_rate at the gap-law average of p_n. The window is bred once,
+    for the widest n_max, and p_n <psi|rho_n|psi> = sum_k c[n, k] f_k reads
+    its s basis overlaps f_k: the cost is linear in the window alone.
     """
     if len(n_max_values) == 0:
         raise DomainError("n_max_values must be non-empty")
@@ -339,12 +333,13 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
     _require_heralds(config)
-    gap_law, _, success, states = _heralded_window(replace(config, n_max=max(n_max_values)))
-    fidelities = _window_fidelities(states, target,
-                                    config.per_trip_transmission ** config.readout_trips)
+    gap_law, sigma, weights = _heralded_window(replace(config, n_max=max(n_max_values)))
+    fidelities = _basis_fidelities(sigma, target,
+                                   config.per_trip_transmission ** config.readout_trips)
     rows = np.asarray(n_max_values) - config.n_min
-    heralded = np.cumsum(success)[rows]
-    created, stored = (np.cumsum(success * f)[rows] / heralded for f in fidelities)
+    heralded = np.cumsum(gap_law * weights.sum(axis=1))[rows]
+    created, stored = (np.cumsum(gap_law * (weights @ f))[rows] / heralded
+                       for f in fidelities)
     p_mean = heralded / np.cumsum(gap_law)[rows]
     scale = config.f_herald / 3.0 * config.beta_elec   # generation_rate at each n_max
     return [CurveRow(m, scale * p * window_probability(config.p_trip, config.n_min, m),
@@ -429,9 +424,11 @@ def simulate_timeline(config: ProtocolConfig,
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
-    _, p_cond, _, states = _heralded_window(config)
-    _, fid_out = _window_fidelities(states, target_cat(TargetCatSpec(), config.cutoff),
-                                    config.per_trip_transmission ** config.readout_trips)
+    _, sigma, weights = _heralded_window(config)
+    _, fid_basis = _basis_fidelities(sigma, target_cat(TargetCatSpec(), config.cutoff),
+                                     config.per_trip_transmission ** config.readout_trips)
+    p_cond = weights.sum(axis=1)
+    fid_out = weights @ fid_basis / p_cond
 
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))

@@ -259,6 +259,35 @@ def test_wigner_stages_share_one_pipeline(tmp_path, capsys, monkeypatch, correct
     assert calls.count("loss_channel") == losses
 
 
+def test_wigner_repeated_corrections_run_once(tmp_path, capsys, monkeypatch):
+    # a stage named twice is computed, printed and written once, in the order
+    # first asked for; a state file takes repeats of its one stage
+    calls = []
+
+    def counted(*args, real=cli.wigner_grid):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "wigner_grid", counted)
+    out = tmp_path / "run"
+    code, stdout, _ = run_cli(["wigner", "--output-dir", str(out), "--pipeline",
+                               "--corrections", "none,both,none", "--grid=-3:3:5"], capsys)
+    assert code == 0
+    assert len(calls) == 2
+    assert list(parse_kv(stdout)) == ["wigner_min[none]", "wigner_max[none]",
+                                      "wigner_min[both]", "wigner_max[both]"]
+    assert sorted(p.name for p in out.glob("wigner_*.csv")) == ["wigner_both.csv",
+                                                                "wigner_none.csv"]
+    state_path = tmp_path / "vacuum.csv"
+    write_density_csv(fock_state(0, FockCutoff(4)).to_density(), state_path)
+    code, stdout, _ = run_cli(["wigner", "--output-dir", str(tmp_path / "file"),
+                               "--state-file", str(state_path),
+                               "--corrections", "none,none", "--grid=-3:3:5"], capsys)
+    assert code == 0
+    assert len(calls) == 3
+    assert stdout.count("wigner_min[none]") == 1
+
+
 def test_wigner_ideal_pipeline_approaches_target(tmp_path, capsys):
     # lossless storage and a narrow window make every stage equal the
     # pure bred state, whose Wigner function tracks the target cat
@@ -480,11 +509,11 @@ def test_sample_refuses_oversized_requests_before_they_allocate(
     ["wigner", "--pipeline", "--n-max", "10000000"],
 ], ids=["curve", "simulate", "sample", "wigner"])
 def test_oversized_storage_windows_exit_2_before_they_breed(tmp_path, capsys, argv):
-    # 1e7 gaps of per-gap states at cutoff 20 would hold about 70.6 GB
+    # 1e7 gaps of the held photon's 2 x 2 block would take about 3.2 GB
     out = tmp_path / "run"
     code, _, err = run_cli([*argv, "--output-dir", str(out)], capsys)
     assert code == 2
-    assert "70.6 GB of per-gap states" in err
+    assert "3.2 GB of per-gap states" in err
     assert not out.exists()
 
 

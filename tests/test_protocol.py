@@ -220,11 +220,11 @@ def test_pipeline_states_are_physical_and_chained():
 
 @pytest.mark.parametrize("config", [CFG, replace(CFG, n_min=3, two_photon_weight=0.05,
                                                   condition_with_detector_efficiency=True)])
-def test_pipeline_creation_is_the_heralded_mixture_bit_for_bit(config):
+def test_pipeline_creation_is_the_heralded_mixture(config):
     states = pipeline_states(config)
-    creation, p_mean = heralded_mixture(config, config.n_max)
-    assert np.array_equal(states.creation.matrix, creation.matrix)
-    assert states.mean_condition_probability == p_mean
+    creation, p_mean = heralded_mixture(config, gap_breeds(config))
+    assert np.abs(states.creation.matrix - creation.matrix).max() <= 1e-15
+    assert abs(states.mean_condition_probability - p_mean) <= 1e-15
 
 
 @pytest.mark.parametrize("cond_eff", [False, True])
@@ -235,13 +235,13 @@ def test_pipeline_curve_and_timeline_share_one_success_weight(w2, cond_eff):
     # output fidelity all weight the per-gap stored states by it
     config = replace(CFG, two_photon_weight=w2, condition_with_detector_efficiency=cond_eff)
     cat = target_cat(TargetCatSpec(), config.cutoff)
-    _, probs, _, states = _heralded_window(config)
+    bred = gap_breeds(config)
     gaps = np.arange(config.n_min, config.n_max + 1)
-    success = (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip * probs
-    stored = [fidelity_to_pure(storage_evolve(DensityOperator(state, config.cutoff),
-                                              config.readout_trips,
+    success = (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip * np.array(
+        [b.probability for b in bred])
+    stored = [fidelity_to_pure(storage_evolve(b.state, config.readout_trips,
                                               config.per_trip_transmission), cat)
-              for state in states]
+              for b in bred]
     expected = np.dot(success, stored) / success.sum()
     row = fidelity_vs_storage_curve(config, [config.n_max])[0]
     assert abs(fidelity_to_pure(pipeline_states(config).stored, cat) - expected) <= 1e-14
@@ -335,18 +335,28 @@ def test_curve_csv_matches_the_per_row_oracle(tmp_path):
         assert table.read_bytes() == reference.read_bytes()
 
 
-def heralded_mixture(config, n_max):
-    """Oracle: creation state and mean herald probability at storage depth
-    n_max <= config.n_max. The per-gap states mix by the success weight
-    w_n p_n normalised, the herald probabilities by the normalised gap law w_n."""
-    _, probs, _, states = (x[:n_max - config.n_min + 1] for x in _heralded_window(config))
-    gap_law = (1.0 - config.p_trip) ** (np.arange(config.n_min, n_max + 1) - 1) * config.p_trip
+def gap_breeds(config):
+    """Oracle: the heralded outcome of each gap n = n_min .. n_max, one public
+    breed of the fresh photon lost over n round trips against a fresh one."""
+    fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight,
+                                config.cutoff)
+    return [breed(storage_evolve(fresh, n, config.per_trip_transmission), fresh,
+                  config.window, config.conditioning_efficiency)
+            for n in range(config.n_min, config.n_max + 1)]
+
+
+def heralded_mixture(config, bred):
+    """Oracle: creation state and mean herald probability of the gaps n_min ..
+    n_min + len(bred) - 1. The per-gap states mix by the success weight w_n p_n
+    normalised, the herald probabilities by the normalised gap law w_n."""
+    gaps = np.arange(config.n_min, config.n_min + len(bred))
+    gap_law = (1.0 - config.p_trip) ** (gaps - 1) * config.p_trip
+    probs = np.array([b.probability for b in bred])
     success = gap_law * probs
     creation_mat = np.zeros((config.cutoff.dimension,) * 2, dtype=complex)
     p_mean = 0.0
-    for u, w, state, prob in zip(success / success.sum(), gap_law / gap_law.sum(),
-                                 states, probs):
-        creation_mat += u * state
+    for u, w, b, prob in zip(success / success.sum(), gap_law / gap_law.sum(), bred, probs):
+        creation_mat += u * b.state.matrix
         p_mean += w * prob
     return DensityOperator(creation_mat, config.cutoff), p_mean
 
@@ -356,11 +366,11 @@ def reference_curve(config, n_max_values, target=None):
     mixture per n_max, then the readout loss, then fidelity_to_pure."""
     if target is None:
         target = target_cat(TargetCatSpec(), config.cutoff)
-    wide = replace(config, n_max=max(n_max_values))
+    bred = gap_breeds(replace(config, n_max=max(n_max_values)))
     t = config.per_trip_transmission ** config.readout_trips
     rows = []
     for m in n_max_values:
-        creation, p_mean = heralded_mixture(wide, m)
+        creation, p_mean = heralded_mixture(config, bred[:m - config.n_min + 1])
         stored = DensityOperator(_lose(creation.matrix, t), config.cutoff)
         rows.append(CurveRow(m, generation_rate(replace(config, n_max=m), p_mean),
                              fidelity_to_pure(creation, target),
@@ -372,8 +382,8 @@ def assert_rows_match(rows, want):
     assert [r.n_max for r in rows] == [r.n_max for r in want]
     for got, ref in zip(rows, want):
         assert abs(got.rate_hz - ref.rate_hz) <= 1e-14 * ref.rate_hz
-        assert abs(got.fidelity_at_creation - ref.fidelity_at_creation) <= 1e-14
-        assert abs(got.fidelity_after_readout - ref.fidelity_after_readout) <= 1e-14
+        assert abs(got.fidelity_at_creation - ref.fidelity_at_creation) <= 1e-15
+        assert abs(got.fidelity_after_readout - ref.fidelity_after_readout) <= 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [20, 40])
@@ -381,12 +391,11 @@ def assert_rows_match(rows, want):
 @pytest.mark.parametrize("cond_eff", [False, True])
 @pytest.mark.parametrize("w2", [0.0, 0.05])
 def test_curve_matches_the_per_row_oracle(w2, cond_eff, per_trip, cutoff):
-    # a window at n_min > 1 whose readout spans more than one block of gaps
-    top = 3 + protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 5
+    # a window at n_min > 1, each row against its own per-gap mixture
     config = replace(CFG, n_min=3, two_photon_weight=w2,
                      condition_with_detector_efficiency=cond_eff,
                      per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
-    n_max_values = [3, 4, 17, top - 1, top]
+    n_max_values = [3, 4, 17, 99, 100]
     assert_rows_match(fidelity_vs_storage_curve(config, n_max_values),
                       reference_curve(config, n_max_values))
 
@@ -407,10 +416,11 @@ def test_curve_refuses_a_target_at_another_cutoff():
                       reference_curve(CFG, [1, 5], target))
 
 
-def test_curve_reads_out_once_per_block_of_the_window(monkeypatch):
-    # a 1000-value curve: one stacked readout loss per block of the window,
-    # none per row
-    config = replace(CFG, n_max=1000)
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_curve_reads_out_the_basis_once(monkeypatch, w2):
+    # a 1000-value curve: one stacked readout loss of the window's s basis
+    # outputs, none per row or per gap
+    config = replace(CFG, n_max=1000, two_photon_weight=w2)
     _heralded_window(config)      # bred before the count starts
     calls = []
 
@@ -420,9 +430,7 @@ def test_curve_reads_out_once_per_block_of_the_window(monkeypatch):
 
     monkeypatch.setattr(protocol, "_lose", counted)
     rows = fidelity_vs_storage_curve(config, list(range(1, 1001)))
-    blocks = protocol._blocks(1000, CFG.cutoff.dimension)
-    assert len(blocks) > 1
-    assert calls == [len(range(1000)[block]) for block in blocks]
+    assert calls == [3 if w2 else 2]
     assert_rows_match([rows[0], rows[499], rows[-1]],
                       reference_curve(config, [1, 500, 1000]))
 
@@ -467,9 +475,21 @@ def test_conditioning_efficiency_follows_flag():
 FAST = replace(CFG, f_herald=5e6, rng_seed=7)
 
 
+def window_tables(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The per-gap herald probabilities p_n = sum_k c[n, k] and stored fidelities
+    f_n = sum_k c[n, k] g_k / p_n that the timeline reads from the window, g_k
+    the stored overlaps of its basis outputs with the default target."""
+    _, sigma, weights = _heralded_window(config)
+    _, stored = protocol._basis_fidelities(
+        sigma, target_cat(TargetCatSpec(), config.cutoff),
+        config.per_trip_transmission ** config.readout_trips)
+    probs = weights.sum(axis=1)
+    return probs, weights @ stored / probs
+
+
 def expected_cycle_success(config: ProtocolConfig) -> float:
     """Per-cycle success probability shared by the closed form and the MC."""
-    _, probs, _, _ = _heralded_window(config)
+    probs, _ = window_tables(config)
     p = config.p_trip
     return config.beta_elec * sum(
         (1.0 - p) ** (n - 1) * p * probs[n - config.n_min]
@@ -500,11 +520,12 @@ def test_timeline_refuses_oversized_runs_before_they_allocate():
 
 
 def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatch):
-    # 1e7 gaps of 21 x 21 complex states would hold about 70.6 GB
+    # 1e7 gaps of the held photon's 2 x 2 block would take about 3.2 GB
     def unreachable(*args, **kwargs):
         raise AssertionError("ran before the storage window was checked")
 
     monkeypatch.setattr(protocol, "_breed", unreachable)
+    monkeypatch.setattr(protocol, "_lose", unreachable)
     monkeypatch.setattr(protocol, "_herald_pulses", unreachable)
     wide = replace(CFG, n_max=10 ** 7)
     calls = [lambda: pipeline_states(wide),
@@ -513,21 +534,45 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     tracemalloc.start()
     try:
         for call in calls:
-            with pytest.raises(DomainError, match="70.6 GB of per-gap states"):
+            with pytest.raises(DomainError, match="3.2 GB of per-gap states"):
                 call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    # the cap is (n_max - n_min + 1) (cutoff + 1)^2 16 bytes: the widest
-    # window it accepts goes on to breed, one gap more is refused
-    widest = MAX_WINDOW_BYTES // (21 ** 2 * 16)
+    # the cap is (n_max - n_min + 1) s^2 _GAP_ENTRY_BYTES, s = 2 at w2 = 0: the
+    # widest window it accepts goes on to breed, one gap more is refused
+    widest = MAX_WINDOW_BYTES // (2 ** 2 * protocol._GAP_ENTRY_BYTES)
     with pytest.raises(AssertionError, match="storage window was checked"):
         _heralded_window(replace(CFG, n_max=widest))
     with pytest.raises(DomainError, match="per-gap states"):
         _heralded_window(replace(CFG, n_max=widest + 1))
     # the default 15-gap window stays far below the cap
-    assert 15 * 21 ** 2 * 16 < MAX_WINDOW_BYTES / 1000
+    assert 15 * 3 ** 2 * protocol._GAP_ENTRY_BYTES < MAX_WINDOW_BYTES / 1000
+
+
+def assert_window_matches_the_per_gap_breeds(config):
+    """Each gap's state sum_k c[n, k] sigma_k / p_n, and the timeline's tables p_n
+    and f_n (below cutoff 20, which has no target cat, p_n alone), against that
+    gap's own public breed."""
+    _, sigma, weights = _heralded_window(config)
+    d = sigma.shape[-1]
+    probs = weights.sum(axis=1)
+    states = np.tensordot(weights, sigma, 1) / probs[:, None, None]
+    bred = gap_breeds(config)
+    for state, prob, want in zip(states, probs, bred, strict=True):
+        assert abs(prob - want.probability) <= 1e-15 * want.probability
+        assert np.abs(state - want.state.matrix[:d, :d]).max() <= 1e-15
+        assert not want.state.matrix[d:].any() and not want.state.matrix[:, d:].any()
+    if config.cutoff.n_max < 20:
+        return
+    cat = target_cat(TargetCatSpec(), config.cutoff)
+    tables = window_tables(config)
+    assert np.array_equal(tables[0], probs)
+    for fidelity, want in zip(tables[1], bred, strict=True):
+        stored = storage_evolve(want.state, config.readout_trips,
+                                config.per_trip_transmission)
+        assert abs(fidelity - fidelity_to_pure(stored, cat)) <= 1e-15
 
 
 @pytest.mark.parametrize("cutoff", [20, 40])
@@ -535,37 +580,42 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
 @pytest.mark.parametrize("cond_eff", [False, True])
 @pytest.mark.parametrize("w2", [0.0, 0.05])
 def test_window_components_match_the_per_gap_loop(w2, cond_eff, per_trip, cutoff):
-    # Oracle: the per-gap loop that the stacked loss and breed replaced, over
-    # a window at n_min > 1 that spans more than one block of gaps
-    gaps = protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 6
-    config = replace(CFG, n_min=3, n_max=3 + gaps - 1, two_photon_weight=w2,
-                     condition_with_detector_efficiency=cond_eff,
-                     per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
-    fresh = single_photon_state(config.photon_fidelity, w2, config.cutoff)
-    _, probs, _, states = _heralded_window(config)
-    assert states.shape == (gaps, cutoff + 1, cutoff + 1)
-    for n, state, prob in zip(range(config.n_min, config.n_max + 1), states, probs):
-        want = breed(storage_evolve(fresh, n, per_trip), fresh, config.window,
-                     config.conditioning_efficiency)
-        assert np.array_equal(state, want.state.matrix)
-        assert prob == want.probability
+    # Oracle: the per-gap breed that the window's basis outputs replaced, over
+    # 300 gaps at n_min > 1
+    assert_window_matches_the_per_gap_breeds(replace(
+        CFG, n_min=3, n_max=302, two_photon_weight=w2,
+        condition_with_detector_efficiency=cond_eff, per_trip_transmission=per_trip,
+        cutoff=FockCutoff(cutoff)))
 
 
-@pytest.mark.parametrize("cutoff", [20, 40])
-def test_window_fidelities_are_fidelity_to_pure_bit_for_bit(cutoff):
-    # the timeline's mean output fidelity sums these per gap, and a stacked
-    # matrix-vector product moves its last bit
-    config = replace(CFG, n_max=protocol._blocks(10 ** 6, cutoff + 1)[0].stop + 6,
-                     two_photon_weight=0.05, cutoff=FockCutoff(cutoff))
-    *_, states = _heralded_window(config)
-    target = target_cat(TargetCatSpec(), config.cutoff)
-    t = config.per_trip_transmission ** config.readout_trips
-    created, stored = protocol._window_fidelities(states, target, t)
-    for state, f_created, f_stored in zip(states, created, stored):
-        assert f_created == fidelity_to_pure(DensityOperator(state, config.cutoff), target)
-        assert f_stored == fidelity_to_pure(
-            storage_evolve(DensityOperator(state, config.cutoff), config.readout_trips,
-                           config.per_trip_transmission), target)
+@pytest.mark.parametrize("photon_fidelity, w2, cutoff", [
+    (1.0, 0.0, 20), (0.0, 0.3, 20), (0.0, 0.0, 20), (0.87, 0.05, 2)],
+    ids=["ideal", "no_one_photon", "vacuum", "cutoff_2"])
+def test_window_matches_the_per_gap_loop_at_the_photon_edges(photon_fidelity, w2, cutoff):
+    # a photon without its one-photon or two-photon part, and a cutoff below the
+    # breed's work cutoff of 2 (s - 1) photons
+    assert_window_matches_the_per_gap_breeds(replace(
+        CFG, n_max=40, photon_fidelity=photon_fidelity, two_photon_weight=w2,
+        cutoff=FockCutoff(cutoff)))
+
+
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_window_is_one_breed_of_its_basis_and_one_loss(monkeypatch, w2):
+    # s = 2 number states, or 3 with a two-photon part, whatever the window's
+    # length or the cutoff; the photon's s x s block lost at every gap at once
+    calls = []
+    for name in ("_breed", "_lose"):
+        def counted(a, b, *args, real=getattr(protocol, name), name=name):
+            calls.append((name, a.shape, np.shape(b)))
+            return real(a, b, *args)
+        monkeypatch.setattr(protocol, name, counted)
+    s = 3 if w2 else 2
+    _, sigma, weights = _heralded_window(replace(CFG, n_max=500, two_photon_weight=w2,
+                                                 cutoff=FockCutoff(100)))
+    assert calls == [("_breed", (s, 2 * s - 1, 2 * s - 1), (2 * s - 1, 2 * s - 1)),
+                     ("_lose", (s, s), (500,))]
+    assert sigma.shape == (s, 2 * s - 1, 2 * s - 1) and weights.shape == (500, s)
+    assert not (sigma.flags.writeable or weights.flags.writeable)
 
 
 def test_a_window_that_cannot_herald_is_refused():
@@ -578,45 +628,38 @@ def test_a_window_that_cannot_herald_is_refused():
         pipeline_states(narrow)
 
 
-@pytest.mark.parametrize("cutoff, gaps", [(20, 4000), (100, 120)])
-@pytest.mark.parametrize("w2", [0.0, 0.05])
-def test_window_components_memory_follows_the_states(w2, cutoff, gaps):
-    # the stacked loss and breed run a block of _BLOCK_BYTES at a time, so a
-    # window peaks at little more than its per-gap states, whether it holds
-    # thousands of small states or a hundred large ones
-    config = replace(CFG, n_max=gaps, two_photon_weight=w2, cutoff=FockCutoff(cutoff))
-    tracemalloc.start()
-    try:
-        *_, states = _heralded_window(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        _heralded_window.cache_clear()
-    assert states.nbytes == gaps * (cutoff + 1) ** 2 * 16
-    assert peak < 1.5 * states.nbytes
-
-
 def test_readouts_of_large_states_follow_the_window():
-    # the curve's readout of 120 creations and the timeline's readout of 120
-    # gaps, at cutoff 100, stay a block above the window's own states
-    config = replace(CFG, n_max=120, cutoff=FockCutoff(100))
-    window_bytes = 120 * 101 ** 2 * 16
-    calls = [lambda: fidelity_vs_storage_curve(config, list(range(1, 121))),
-             lambda: simulate_timeline(config, 1e-6)]
-    for call in calls:
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    # the window holds s basis outputs and s weights per gap, so the window, a
+    # 4000-row curve and the timeline take as much memory at cutoff 100 as at
+    # cutoff 20, within the bytes per gap the oversized-window refusal counts
+    def peaks(config):
+        target_cat(TargetCatSpec(), config.cutoff)    # cached, as after a first call
+        calls = [lambda: _heralded_window(config),
+                 lambda: fidelity_vs_storage_curve(config, list(range(1, 4001))),
+                 lambda: simulate_timeline(config, 1e-6)]
+        out = []
+        for call in calls:
             _heralded_window.cache_clear()
-        assert peak < 1.5 * window_bytes
+            tracemalloc.start()
+            try:
+                call()
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        _heralded_window.cache_clear()
+        return np.array(out)
+
+    for w2, s in [(0.0, 2), (0.05, 3)]:
+        small, large = (peaks(replace(CFG, n_max=4000, two_photon_weight=w2,
+                                      cutoff=FockCutoff(cutoff))) for cutoff in (20, 100))
+        assert (large < 1.2 * small).all()
+        assert (large < 1.2 * 4000 * s ** 2 * protocol._GAP_ENTRY_BYTES).all()
 
 
 def reference_timeline(config: ProtocolConfig, duration_s: float):
     """Oracle: the per-sequence loop simulate_timeline replaced, unchanged
-    but for dicts in place of event objects. Same RNG draws, same order."""
+    but for dicts in place of event objects and the per-gap tables read from
+    the window. Same RNG draws, same order."""
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))
     heralds = _herald_pulses(rng, config.p_trip, n_pulses)
@@ -630,16 +673,9 @@ def reference_timeline(config: ProtocolConfig, duration_s: float):
     else:
         u_live = u_cond = np.zeros(0)
 
-    _, probs, _, states = _heralded_window(config)
+    probs, fidelities = window_tables(config)
     p_cond = dict(enumerate(probs, start=config.n_min))
-    target = target_cat(TargetCatSpec(), config.cutoff)
-    fid_out = {
-        n: fidelity_to_pure(
-            storage_evolve(DensityOperator(state, config.cutoff), config.readout_trips,
-                           config.per_trip_transmission),
-            target)
-        for n, state in enumerate(states, start=config.n_min)
-    }
+    fid_out = dict(enumerate(fidelities, start=config.n_min))
 
     successes = 0
     storage_hist: dict[int, int] = {}
