@@ -88,7 +88,9 @@ def _beam_splitter_blocks(dimension: int, theta: float, phase: float):
         yield ks * d + (total - ks), _exp_minus_i(theta * gen)
 
 
-@lru_cache(maxsize=16)
+# each entry is (d^2)^2 complex numbers, 45 MB at cutoff 40, so the cache holds at
+# most 181 MB there; breeding asks for two keys (work dimensions 3 and 5, theta pi/4)
+@lru_cache(maxsize=4)
 def _beam_splitter_unitary(dimension: int, theta: float, phase: float) -> np.ndarray:
     """U = exp(-i theta (e^{i phase} a^dag b + h.c.)), assembled from its
     total-photon sector blocks, which are far cheaper to exponentiate than

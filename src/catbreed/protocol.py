@@ -224,21 +224,24 @@ _GAP_ENTRY_BYTES = 80
 
 @lru_cache(maxsize=2)
 def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
-    """Read-only (w, sigma, c) of the gaps n = n_min .. n_max, the first photon lost
+    """Read-only (w, c, stages) of the gaps n = n_min .. n_max, the first photon lost
     over n round trips, the second fresh; w_n = (1-p)^(n-1) p, the gap law, is 0 at
     f_herald = 0. The photon is diagonal in the Fock basis, loss keeps it so and the
     breed is linear in the held state, so gap n gives p_n rho_n = sum_k c[n, k] sigma_k:
     sigma (s, d, d) are the breeds of |k><k|, k < s (the photon's support: 2, or 3 if
     w2 > 0) against the fresh photon, q_k their herald probabilities and
-    c[n, k] = <k|L_eta^n(photon)|k> q_k.
+    c[n, k] = <k|L_eta^n(photon)|k> q_k. Loss is linear too, so every later stage of
+    gap n is the same mix of its lost basis: stages (3, s, d, d) holds sigma as bred,
+    after the readout trips, and that at the homodyne detector.
     p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the basis covers every gap.
-    Refused above MAX_WINDOW_BYTES before the one stacked breed and the one stacked loss."""
+    Refused above MAX_WINDOW_BYTES before the one stacked breed and the three losses."""
     count, s = config.n_max - config.n_min + 1, 3 if config.two_photon_weight > 0 else 2
     size = count * s * s * _GAP_ENTRY_BYTES
     if size > MAX_WINDOW_BYTES:
         raise DomainError(
-            f"storage window [{config.n_min}, {config.n_max}] would hold {size / 1e9:.3g} GB "
-            f"of per-gap states, above {MAX_WINDOW_BYTES / 1e9:g} GB")
+            f"storage window [{config.n_min}, {config.n_max}] counts {size / 1e9:.3g} GB "
+            f"at {s * s} entries of {_GAP_ENTRY_BYTES} B a gap, above "
+            f"{MAX_WINDOW_BYTES / 1e9:g} GB")
     # both inputs at the breed's work cutoff, so nothing here grows with the cutoff
     work = FockCutoff(min(2 * s - 2, config.cutoff.n_max))
     fresh = single_photon_state(config.photon_fidelity, config.two_photon_weight, work).matrix
@@ -250,7 +253,8 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
                                  for n in range(config.n_min, config.n_max + 1)])
     weights = np.diagonal(held, axis1=1, axis2=2).real * q
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    window = gap_law, sigma, weights
+    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips)
+    window = gap_law, weights, np.stack([sigma, stored, _lose(stored, config.eta_homodyne)])
     for arr in window:
         arr.setflags(write=False)
     return window
@@ -262,13 +266,10 @@ def _require_heralds(config: ProtocolConfig) -> None:
                           "mixture over storage lengths is undefined")
 
 
-def _basis_fidelities(sigma: np.ndarray, target: StateVector,
-                      transmission: float) -> tuple[np.ndarray, np.ndarray]:
-    """The overlaps <psi|sigma_k|psi> of the window's basis outputs with ``target``,
-    as bred and after loss at ``transmission``."""
-    v = target.amplitudes[:sigma.shape[-1]]
-    return tuple(np.einsum("i,kij,j->k", v.conj(), x, v).real
-                 for x in (sigma, _lose(sigma, transmission)))
+def _basis_fidelities(states: np.ndarray, target: StateVector) -> np.ndarray:
+    """The overlaps <psi|x_k|psi> of a stage's basis outputs x_k with ``target``."""
+    v = target.amplitudes[:states.shape[-1]]
+    return np.einsum("i,kij,j->k", v.conj(), states, v).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,22 +285,20 @@ class PipelineStates:
 def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     """Simulate the full protocol at one operating point.
 
-    The creation state is the mixture over first-photon storage lengths n
-    by the success weight w_n p_n, which the curve and the timeline share:
-    sum_k (w.c)_k sigma_k / (w.p) over the window's basis outputs. The stored
-    state adds the readout storage loss; the measured state adds the homodyne
-    detection loss. mean_condition_probability averages p_n over the
-    in-window gap law w_n.
+    Every stage is the mixture over first-photon storage lengths n by the
+    success weight w_n p_n, which the curve and the timeline share:
+    sum_k (w.c)_k x_k / (w.p) over the window's basis outputs x_k at that
+    stage. The creation state is bred; the stored state adds the readout
+    storage loss; the measured state adds the homodyne detection loss.
+    mean_condition_probability averages p_n over the in-window gap law w_n.
     """
     _require_heralds(config)
-    gap_law, sigma, weights = _heralded_window(config)
+    gap_law, weights, stages = _heralded_window(config)
     mix = gap_law @ weights
-    work = DensityOperator(np.tensordot(mix / mix.sum(), sigma, 1),
-                           FockCutoff(sigma.shape[-1] - 1))
-    creation = pad_density_operator(work, config.cutoff)
-    stored = storage_evolve(creation, config.readout_trips,
-                            config.per_trip_transmission)
-    measured = loss_channel(stored, config.eta_homodyne)
+    creation, stored, measured = (
+        pad_density_operator(DensityOperator(np.tensordot(mix / mix.sum(), stage, 1),
+                                             FockCutoff(stage.shape[-1] - 1)), config.cutoff)
+        for stage in stages)
     return PipelineStates(creation, stored, measured, mix.sum() / gap_law.sum())
 
 
@@ -319,10 +318,11 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     <psi|rho|psi> is linear in rho, so each fidelity at n_max is a running sum
     over the gaps n_min .. n_max of w_n p_n <psi|rho_n|psi> (at creation, and
     after the readout storage trips) over the running sum of the success
-    weight w_n p_n that pipeline_states and the timeline share; the rate is
-    generation_rate at the gap-law average of p_n. The window is bred once,
-    for the widest n_max, and p_n <psi|rho_n|psi> = sum_k c[n, k] f_k reads
-    its s basis overlaps f_k: the cost is linear in the window alone.
+    weight w_n p_n that pipeline_states and the timeline share. The window is
+    bred once, for the widest n_max, and p_n <psi|rho_n|psi> = sum_k c[n, k] f_k
+    reads the s overlaps f_k of its basis at each stage: the cost is linear in
+    the window alone. The sum of w_n is window_probability, so generation_rate
+    at n_max is f_herald / 3 * beta_elec times the running sum of w_n p_n.
     """
     if len(n_max_values) == 0:
         raise DomainError("n_max_values must be non-empty")
@@ -333,18 +333,14 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
     _require_heralds(config)
-    gap_law, sigma, weights = _heralded_window(replace(config, n_max=max(n_max_values)))
-    fidelities = _basis_fidelities(sigma, target,
-                                   config.per_trip_transmission ** config.readout_trips)
+    gap_law, weights, stages = _heralded_window(replace(config, n_max=max(n_max_values)))
     rows = np.asarray(n_max_values) - config.n_min
     heralded = np.cumsum(gap_law * weights.sum(axis=1))[rows]
-    created, stored = (np.cumsum(gap_law * (weights @ f))[rows] / heralded
-                       for f in fidelities)
-    p_mean = heralded / np.cumsum(gap_law)[rows]
-    scale = config.f_herald / 3.0 * config.beta_elec   # generation_rate at each n_max
-    return [CurveRow(m, scale * p * window_probability(config.p_trip, config.n_min, m),
-                     float(f_created), float(f_stored))
-            for m, p, f_created, f_stored in zip(n_max_values, p_mean, created, stored)]
+    created, stored = (np.cumsum(gap_law * (weights @ _basis_fidelities(stage, target)))[rows]
+                       / heralded for stage in stages[:2])
+    scale = config.f_herald / 3.0 * config.beta_elec
+    return [CurveRow(m, scale * h, float(f_created), float(f_stored))
+            for m, h, f_created, f_stored in zip(n_max_values, heralded, created, stored)]
 
 
 CURVE_CSV_HEADER = "n_max,rate_hz,fidelity_at_creation,fidelity_after_readout"
@@ -424,11 +420,10 @@ def simulate_timeline(config: ProtocolConfig,
             f"a {duration_s:g} s run expects {expected:.3g} heralds; the "
             f"timeline accepts at most {MAX_EXPECTED_HERALDS:.3g}")
     # bred before anything is drawn, so an oversized window draws nothing
-    _, sigma, weights = _heralded_window(config)
-    _, fid_basis = _basis_fidelities(sigma, target_cat(TargetCatSpec(), config.cutoff),
-                                     config.per_trip_transmission ** config.readout_trips)
+    _, weights, stages = _heralded_window(config)
     p_cond = weights.sum(axis=1)
-    fid_out = weights @ fid_basis / p_cond
+    fid_out = weights @ _basis_fidelities(
+        stages[1], target_cat(TargetCatSpec(), config.cutoff)) / p_cond
 
     rng = np.random.default_rng(config.rng_seed)
     n_pulses = int(round(duration_s * config.f_rep))

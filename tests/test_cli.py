@@ -513,7 +513,7 @@ def test_oversized_storage_windows_exit_2_before_they_breed(tmp_path, capsys, ar
     out = tmp_path / "run"
     code, _, err = run_cli([*argv, "--output-dir", str(out)], capsys)
     assert code == 2
-    assert "3.2 GB of per-gap states" in err
+    assert "3.2 GB at 4 entries of 80 B a gap" in err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -116,6 +118,24 @@ def test_beam_splitter_blocks_match_scipy_expm(d, theta, phase):
             gen[i, i + 1] = np.exp(-1j * phase) * amp
         reference = expm(-1j * theta * gen)
         assert np.max(np.abs(block - reference)) <= 1e-13
+
+
+def test_beam_splitter_cache_retains_at_most_four_unitaries():
+    # each distinct transmittance builds a dense (d^2, d^2) unitary; what 16 of
+    # them leave behind is bounded by the cache's four entries, not by the calls
+    photon = single_photon_state(cutoff=CUT)
+    unitary = CUT.dimension ** 4 * 16
+    _beam_splitter_unitary.cache_clear()
+    tracemalloc.start()
+    try:
+        for t in np.linspace(0.05, 0.95, 16):
+            beam_splitter(photon, photon, float(t))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _beam_splitter_unitary.cache_info().currsize == 4
+    _beam_splitter_unitary.cache_clear()
+    assert 4 * unitary <= retained < 4.5 * unitary
 
 
 def test_beam_splitter_rejects_bad_inputs():

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,18 +205,23 @@ def test_pipeline_states_need_heralds(monkeypatch):
 
 
 def test_pipeline_states_are_physical_and_chained():
-    states = pipeline_states(CFG)
-    states.creation.validate()
-    states.stored.validate()
-    states.measured.validate()
+    # every stage mixes the window's own lost basis, within round-off of the
+    # readout and detector losses applied to the padded states
     from catbreed import loss_channel
-    np.testing.assert_allclose(
-        storage_evolve(states.creation, CFG.readout_trips,
-                       CFG.per_trip_transmission).matrix,
-        states.stored.matrix, atol=1e-12)
-    np.testing.assert_allclose(
-        loss_channel(states.stored, CFG.eta_homodyne).matrix,
-        states.measured.matrix, atol=1e-12)
+    for config in (CFG, replace(CFG, two_photon_weight=0.05),
+                   replace(CFG, condition_with_detector_efficiency=True),
+                   replace(CFG, readout_trips=0), replace(CFG, cutoff=FockCutoff(40)),
+                   replace(CFG, n_min=3, n_max=60, two_photon_weight=0.05, readout_trips=0,
+                           condition_with_detector_efficiency=True, cutoff=FockCutoff(40))):
+        states = pipeline_states(config)
+        states.creation.validate()
+        states.stored.validate()
+        states.measured.validate()
+        stored = storage_evolve(states.creation, config.readout_trips,
+                                config.per_trip_transmission)
+        measured = loss_channel(stored, config.eta_homodyne)
+        assert np.abs(stored.matrix - states.stored.matrix).max() <= 2 ** -53
+        assert np.abs(measured.matrix - states.measured.matrix).max() <= 1.7e-16
 
 
 @pytest.mark.parametrize("config", [CFG, replace(CFG, n_min=3, two_photon_weight=0.05,
@@ -396,6 +402,8 @@ def test_curve_matches_the_per_row_oracle(w2, cond_eff, per_trip, cutoff):
                      condition_with_detector_efficiency=cond_eff,
                      per_trip_transmission=per_trip, cutoff=FockCutoff(cutoff))
     n_max_values = [3, 4, 17, 99, 100]
+    if (w2, cond_eff, per_trip, cutoff) == (0.05, True, DEFAULT_PER_TRIP_TRANSMISSION, 20):
+        n_max_values.append(502)   # a 500-gap running sum, where the rate's round-off peaks
     assert_rows_match(fidelity_vs_storage_curve(config, n_max_values),
                       reference_curve(config, n_max_values))
 
@@ -416,23 +424,43 @@ def test_curve_refuses_a_target_at_another_cutoff():
                       reference_curve(CFG, [1, 5], target))
 
 
+def forbid_losses_and_breeds(monkeypatch):
+    """Make every loss, breed and closed-form window probability in the protocol
+    module raise, so that a reader can only read a window bred beforehand."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reader lost, bred or summed the gap law of its own")
+
+    for name in ("_breed", "_lose", "loss_channel", "storage_evolve", "window_probability"):
+        monkeypatch.setattr(protocol, name, unreachable)
+
+
 @pytest.mark.parametrize("w2", [0.0, 0.05])
-def test_curve_reads_out_the_basis_once(monkeypatch, w2):
-    # a 1000-value curve: one stacked readout loss of the window's s basis
-    # outputs, none per row or per gap
+def test_curve_makes_no_loss_or_breed_of_its_own(monkeypatch, w2):
+    # a 1000-value curve reads the window's bred and stored stages and its
+    # running sum of w_n p_n; it loses, breeds and sums the gap law nothing itself
     config = replace(CFG, n_max=1000, two_photon_weight=w2)
-    _heralded_window(config)      # bred before the count starts
-    calls = []
-
-    def counted(matrix, transmission):
-        calls.append(len(matrix))
-        return _lose(matrix, transmission)
-
-    monkeypatch.setattr(protocol, "_lose", counted)
+    _heralded_window(config)      # bred before the readers are cut off
+    want = reference_curve(config, [1, 500, 1000])
+    forbid_losses_and_breeds(monkeypatch)
     rows = fidelity_vs_storage_curve(config, list(range(1, 1001)))
-    assert calls == [3 if w2 else 2]
-    assert_rows_match([rows[0], rows[499], rows[-1]],
-                      reference_curve(config, [1, 500, 1000]))
+    assert_rows_match([rows[0], rows[499], rows[-1]], want)
+
+
+@pytest.mark.parametrize("w2", [0.0, 0.05])
+def test_pipeline_and_timeline_make_no_loss_or_breed_of_their_own(monkeypatch, w2):
+    # the stored and measured states and the timeline's fidelities are read
+    # from the window's stages, so cutting off every loss changes no output
+    config = replace(FAST, two_photon_weight=w2)
+    want_states, (want_stats, want_events) = (pipeline_states(config),
+                                              simulate_timeline(config, 1e-4))
+    forbid_losses_and_breeds(monkeypatch)
+    states, (stats, events) = pipeline_states(config), simulate_timeline(config, 1e-4)
+    for label in ("creation", "stored", "measured"):
+        assert np.array_equal(getattr(states, label).matrix,
+                              getattr(want_states, label).matrix)
+    assert stats == want_stats
+    for column in ("pulse_index", "record", "trips"):
+        assert np.array_equal(getattr(events, column), getattr(want_events, column))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +503,23 @@ def test_conditioning_efficiency_follows_flag():
 FAST = replace(CFG, f_herald=5e6, rng_seed=7)
 
 
+def window_parts(config: ProtocolConfig) -> SimpleNamespace:
+    """The storage window of ``config`` by name, the one place the tests unpack it:
+    the gap law w (G,), the per-gap weights c (G, s) and the stages (3, s, d, d),
+    the basis outputs as bred, after the readout trips and at the detector."""
+    gap_law, weights, stages = _heralded_window(config)
+    return SimpleNamespace(gap_law=gap_law, weights=weights, stages=stages)
+
+
 def window_tables(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     """The per-gap herald probabilities p_n = sum_k c[n, k] and stored fidelities
     f_n = sum_k c[n, k] g_k / p_n that the timeline reads from the window, g_k
     the stored overlaps of its basis outputs with the default target."""
-    _, sigma, weights = _heralded_window(config)
-    _, stored = protocol._basis_fidelities(
-        sigma, target_cat(TargetCatSpec(), config.cutoff),
-        config.per_trip_transmission ** config.readout_trips)
-    probs = weights.sum(axis=1)
-    return probs, weights @ stored / probs
+    window = window_parts(config)
+    stored = protocol._basis_fidelities(window.stages[1],
+                                        target_cat(TargetCatSpec(), config.cutoff))
+    probs = window.weights.sum(axis=1)
+    return probs, window.weights @ stored / probs
 
 
 def expected_cycle_success(config: ProtocolConfig) -> float:
@@ -534,7 +569,7 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     tracemalloc.start()
     try:
         for call in calls:
-            with pytest.raises(DomainError, match="3.2 GB of per-gap states"):
+            with pytest.raises(DomainError, match="3.2 GB at 4 entries of 80 B a gap"):
                 call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -545,7 +580,7 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     widest = MAX_WINDOW_BYTES // (2 ** 2 * protocol._GAP_ENTRY_BYTES)
     with pytest.raises(AssertionError, match="storage window was checked"):
         _heralded_window(replace(CFG, n_max=widest))
-    with pytest.raises(DomainError, match="per-gap states"):
+    with pytest.raises(DomainError, match="GB at 4 entries of 80 B a gap"):
         _heralded_window(replace(CFG, n_max=widest + 1))
     # the default 15-gap window stays far below the cap
     assert 15 * 3 ** 2 * protocol._GAP_ENTRY_BYTES < MAX_WINDOW_BYTES / 1000
@@ -555,10 +590,10 @@ def assert_window_matches_the_per_gap_breeds(config):
     """Each gap's state sum_k c[n, k] sigma_k / p_n, and the timeline's tables p_n
     and f_n (below cutoff 20, which has no target cat, p_n alone), against that
     gap's own public breed."""
-    _, sigma, weights = _heralded_window(config)
-    d = sigma.shape[-1]
-    probs = weights.sum(axis=1)
-    states = np.tensordot(weights, sigma, 1) / probs[:, None, None]
+    window = window_parts(config)
+    d = window.stages.shape[-1]
+    probs = window.weights.sum(axis=1)
+    states = np.tensordot(window.weights, window.stages[0], 1) / probs[:, None, None]
     bred = gap_breeds(config)
     for state, prob, want in zip(states, probs, bred, strict=True):
         assert abs(prob - want.probability) <= 1e-15 * want.probability
@@ -600,9 +635,10 @@ def test_window_matches_the_per_gap_loop_at_the_photon_edges(photon_fidelity, w2
 
 
 @pytest.mark.parametrize("w2", [0.0, 0.05])
-def test_window_is_one_breed_of_its_basis_and_one_loss(monkeypatch, w2):
+def test_window_is_one_breed_of_its_basis_and_three_losses(monkeypatch, w2):
     # s = 2 number states, or 3 with a two-photon part, whatever the window's
-    # length or the cutoff; the photon's s x s block lost at every gap at once
+    # length or the cutoff; the photon's s x s block lost at every gap at once,
+    # then the s bred states lost over the readout trips and at the detector
     calls = []
     for name in ("_breed", "_lose"):
         def counted(a, b, *args, real=getattr(protocol, name), name=name):
@@ -610,12 +646,13 @@ def test_window_is_one_breed_of_its_basis_and_one_loss(monkeypatch, w2):
             return real(a, b, *args)
         monkeypatch.setattr(protocol, name, counted)
     s = 3 if w2 else 2
-    _, sigma, weights = _heralded_window(replace(CFG, n_max=500, two_photon_weight=w2,
-                                                 cutoff=FockCutoff(100)))
-    assert calls == [("_breed", (s, 2 * s - 1, 2 * s - 1), (2 * s - 1, 2 * s - 1)),
-                     ("_lose", (s, s), (500,))]
-    assert sigma.shape == (s, 2 * s - 1, 2 * s - 1) and weights.shape == (500, s)
-    assert not (sigma.flags.writeable or weights.flags.writeable)
+    work = (s, 2 * s - 1, 2 * s - 1)
+    window = window_parts(replace(CFG, n_max=500, two_photon_weight=w2,
+                                  cutoff=FockCutoff(100)))
+    assert calls == [("_breed", work, work[1:]), ("_lose", (s, s), (500,)),
+                     ("_lose", work, ()), ("_lose", work, ())]
+    assert window.stages.shape == (3,) + work and window.weights.shape == (500, s)
+    assert not any(x.flags.writeable for x in vars(window).values())
 
 
 def test_a_window_that_cannot_herald_is_refused():
