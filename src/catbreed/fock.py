@@ -319,10 +319,10 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     psi = np.zeros((n_max + 1,) + x.shape)
     psi[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
     if n_max >= 1:
-        psi[1] = np.sqrt(2.0) * x * psi[0]
+        psi[1] = math.sqrt(2.0) * x * psi[0]
     for n in range(1, n_max):
-        psi[n + 1] = (x * np.sqrt(2.0 / (n + 1)) * psi[n]
-                      - np.sqrt(n / (n + 1.0)) * psi[n - 1])
+        psi[n + 1] = (x * math.sqrt(2.0 / (n + 1)) * psi[n]
+                      - math.sqrt(n / (n + 1.0)) * psi[n - 1])
     return psi
 
 
@@ -355,6 +355,19 @@ def _balanced_sector_step(sector: np.ndarray) -> np.ndarray:
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])   # (-i)^j at j mod 4, exact
 
 
+@lru_cache(maxsize=1)
+def _sector_prefix() -> tuple[np.ndarray, ...]:
+    """The read-only sectors N < 9 of B, every sector that a state of support 5 or
+    less (one bred from photons of up to two each) needs: 285 floats, 2.3 kB, built
+    on the first call and kept for the process."""
+    sectors = [np.ones((1, 1))]
+    for _ in range(8):
+        sectors.append(_balanced_sector_step(sectors[-1]))
+    for sector in sectors:
+        sector.setflags(write=False)
+    return tuple(sectors)
+
+
 def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     """Real K x K D, K = 2 M - 1 at support M, with W(x, p) =
     sum_kl D_kl psi_k(sqrt2 x) psi_l(sqrt2 p).
@@ -363,15 +376,15 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     balanced beam splitter B) turns psi_m(x-y) psi_n(x+y) into a sum of
     psi_k(sqrt2 x) psi_{N-k}(sqrt2 y), N = m + n, and psi_l has Fourier
     transform i^l psi_l, so D_{k,l} = Re[(-i)^l (B^N rho_{N-n,n})_k] / sqrt(pi) at N = k + l
-    < K, and 0 beyond. Each sector B^N is built from the one before, O(M^3) in all, and dropped.
+    < K, and 0 beyond. The sectors B^N are read from ``_sector_prefix`` up to N = 8; each
+    later one is built from the one before, O(M^3) in all, and dropped.
     """
     M = _support_dimension(rho.matrix)
     K = 2 * M - 1
     skew = np.zeros((K, K), dtype=complex)      # skew[N, k] = (B^N rho_{N-n,n})_k
-    sector = np.ones((1, 1))
+    prefix = _sector_prefix()
     for N in range(K):
-        if N:
-            sector = _balanced_sector_step(sector)
+        sector = prefix[N] if N < len(prefix) else _balanced_sector_step(sector)
         n = np.arange(max(0, N - M + 1), min(N, M - 1) + 1)
         skew[N, :N + 1] = sector[:, n[0]:n[-1] + 1] @ rho.matrix[N - n, n]
     k, l = np.arange(K)[:, None], np.arange(K)

@@ -182,17 +182,33 @@ def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     return np.exp(log_b).astype(complex)
 
 
-def _lose(matrix: np.ndarray, transmission) -> np.ndarray:
+def _lose(matrix: np.ndarray, transmission, amplitudes=_loss_amplitudes) -> np.ndarray:
     """The loss channel on a state or a stack of states ``matrix`` (..., D, D)
     at a transmission or a stack of them, broadcast together. Loss never
-    raises the photon number, so it acts on the stack's support block."""
+    raises the photon number, so it acts on the stack's support block s, with
+    the table ``amplitudes(transmission, s)``: a caller that reuses a
+    transmission may pass a cached ``_loss_amplitudes``."""
     s = _support_dimension(matrix)
-    block, b = matrix[..., :s, :s], _loss_amplitudes(transmission, s)
+    block, b = matrix[..., :s, :s], amplitudes(transmission, s)
     out = np.zeros(np.broadcast_shapes(matrix.shape, b.shape[:-2] + (1, 1)), dtype=complex)
     for k in range(s):
         # A_k rho A_k^dag: rho[n, m] moves to [n-k, m-k], scaled by b[k, n] b[k, m]
         v = b[..., k, k:]
         out[..., :s - k, :s - k] += (v[..., :, None] * block[..., k:, k:]) * v[..., None, :]
+    return out
+
+
+def _lose_populations(populations: np.ndarray, transmission) -> np.ndarray:
+    """The real diagonal of ``_lose`` on the diagonal state of photon-number
+    populations p (D,), at a transmission or a stack of them: p'[j] =
+    sum_k (b[k, j+k] p[j+k]) b[k, j+k], the same products in the same k order,
+    so every value is _lose's bit for bit, without its D x D blocks."""
+    d = populations.shape[-1]
+    b = _loss_amplitudes(transmission, d).real
+    out = np.zeros(b.shape[:-2] + (d,))
+    for k in range(d):
+        v = b[..., k, k:]
+        out[..., :d - k] += (v * populations[k:]) * v
     return out
 
 

@@ -26,7 +26,8 @@ from .fock import (
     pad_density_operator,
     target_cat,
 )
-from .optics import AcceptanceWindow, _breed, _lose, loss_channel, single_photon_state
+from .optics import (AcceptanceWindow, _breed, _lose, _lose_populations, _loss_amplitudes,
+                     loss_channel, single_photon_state)
 from .tomography import _ROWS_PER_WRITE, _write_csv
 
 # Every record the timeline writes, as (kind, reason, carries the storage
@@ -216,10 +217,19 @@ def calibrate_beta_elec(config: ProtocolConfig, target_rate_hz: float,
     return float(beta)
 
 
-# a window peaks at about 290 bytes a gap at s = 2 and 610 at s = 3 at any cutoff
-# (tracemalloc); the cap counts 80 bytes an entry of the photon's s x s block
+# a window peaks at about 170 bytes a gap at s = 2 and 330 at s = 3 at any cutoff
+# (tracemalloc); the cap counts 80 bytes an entry of an s x s block, above either
 MAX_WINDOW_BYTES = 900_000_000
 _GAP_ENTRY_BYTES = 80
+
+
+@lru_cache(maxsize=4)
+def _readout_amplitudes(transmission: float, dimension: int) -> np.ndarray:
+    """Read-only ``_loss_amplitudes`` of the readout trips: the operating points of a
+    sweep share their transmission and the breed's work dimension, so it is built once."""
+    b = _loss_amplitudes(transmission, dimension)
+    b.setflags(write=False)
+    return b
 
 
 @lru_cache(maxsize=2)
@@ -230,11 +240,12 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
     breed is linear in the held state, so gap n gives p_n rho_n = sum_k c[n, k] sigma_k:
     sigma (s, d, d) are the breeds of |k><k|, k < s (the photon's support: 2, or 3 if
     w2 > 0) against the fresh photon, q_k their herald probabilities and
-    c[n, k] = <k|L_eta^n(photon)|k> q_k. Loss is linear too, so every later stage of
-    gap n is the same mix of its lost basis: stages (3, s, d, d) holds sigma as bred,
-    after the readout trips, and that at the homodyne detector.
-    p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the basis covers every gap.
-    Refused above MAX_WINDOW_BYTES before the one stacked breed and the three losses."""
+    c[n, k] = <k|L_eta^n(photon)|k> q_k, the photon lost as its s populations at every
+    gap. Loss is linear too, so every later stage of gap n is the same mix of its lost
+    basis: stages (3, s, d, d) holds sigma as bred, after the readout trips, and that at
+    the homodyne detector. p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the
+    basis covers every gap. Refused above MAX_WINDOW_BYTES before the one stacked breed,
+    the photon's population loss and the two losses of the basis."""
     count, s = config.n_max - config.n_min + 1, 3 if config.two_photon_weight > 0 else 2
     size = count * s * s * _GAP_ENTRY_BYTES
     if size > MAX_WINDOW_BYTES:
@@ -249,11 +260,13 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
     basis[(range(s),) * 3] = 1.0
     sigma, q = _breed(basis, fresh, config.window, config.conditioning_efficiency)
     # Python's pow, as in storage_evolve: numpy's SIMD power may differ in the last bit
-    held = _lose(fresh[:s, :s], [config.per_trip_transmission ** n
-                                 for n in range(config.n_min, config.n_max + 1)])
-    weights = np.diagonal(held, axis1=1, axis2=2).real * q
+    held = _lose_populations(np.diagonal(fresh)[:s].real,
+                             [config.per_trip_transmission ** n
+                              for n in range(config.n_min, config.n_max + 1)])
+    weights = held * q
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips)
+    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips,
+                   _readout_amplitudes)
     window = gap_law, weights, np.stack([sigma, stored, _lose(stored, config.eta_homodyne)])
     for arr in window:
         arr.setflags(write=False)
@@ -295,10 +308,13 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     _require_heralds(config)
     gap_law, weights, stages = _heralded_window(config)
     mix = gap_law @ weights
+    # np.tensordot(share, stage, 1) without its wrapper: the same np.dot of the
+    # same reshaped operands
+    share, d = (mix / mix.sum())[None], stages.shape[-1]
     creation, stored, measured = (
-        pad_density_operator(DensityOperator(np.tensordot(mix / mix.sum(), stage, 1),
-                                             FockCutoff(stage.shape[-1] - 1)), config.cutoff)
-        for stage in stages)
+        pad_density_operator(DensityOperator(np.dot(share, stage).reshape(d, d),
+                                             FockCutoff(d - 1)), config.cutoff)
+        for stage in stages.reshape(3, len(mix), d * d))
     return PipelineStates(creation, stored, measured, mix.sum() / gap_law.sum())
 
 
@@ -333,7 +349,9 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
     _require_heralds(config)
-    gap_law, weights, stages = _heralded_window(replace(config, n_max=max(n_max_values)))
+    widest = max(n_max_values)
+    gap_law, weights, stages = _heralded_window(
+        config if widest == config.n_max else replace(config, n_max=widest))
     rows = np.asarray(n_max_values) - config.n_min
     heralded = np.cumsum(gap_law * weights.sum(axis=1))[rows]
     created, stored = (np.cumsum(gap_law * (weights @ _basis_fidelities(stage, target)))[rows]

@@ -752,17 +752,32 @@ def test_failed_write_removes_what_the_run_wrote(tmp_path, capsys,
     assert (out / "notes.txt").read_text() == "keep me"
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test oracle only
+def fresh_interpreter_output(probe: str) -> str:
+    """The standard output of ``probe`` run by a new Python that imports this
+    checkout's package."""
     src = str(Path(catbreed.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    probe = ("import sys, catbreed.cli; print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle only
+    assert fresh_interpreter_output(
+        "import sys, catbreed.cli; print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+
+def test_importing_the_cli_builds_no_cache():
+    # the Wigner sector prefix and the readout loss amplitudes are built on
+    # their first use, so start-up pays for neither
+    assert fresh_interpreter_output(
+        "import catbreed.cli, catbreed.fock as f, catbreed.protocol as p; "
+        "print(f._sector_prefix.cache_info().currsize, "
+        "p._readout_amplitudes.cache_info().currsize)") == "0 0"
 
 
 # ---------------------------------------------------------------------------

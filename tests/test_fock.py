@@ -17,8 +17,9 @@ from catbreed import (DensityOperator, DomainError, FockCutoff, StateVector,
                       parity_expectation, purity, quadrature_wavefunction,
                       squeeze_db_to_r, squeeze_matrix, target_cat, wigner,
                       wigner_grid)
+import catbreed.fock as fock
 from catbreed.fock import (MAX_CUTOFF, _balanced_sector_step, _log_factorial,
-                           _support_dimension)
+                           _sector_prefix, _support_dimension)
 from catbreed.optics import _beam_splitter_blocks
 from conftest import random_density, random_pure
 
@@ -619,6 +620,25 @@ def test_balanced_sectors_match_the_eigh_blocks_up_to_257():
         worst = max(worst, np.max(np.abs(sector - at_half_pi)),
                     np.max(np.abs(turns * sector - at_zero)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("support", [3, 5, 13])
+def test_wigner_grid_is_the_same_from_a_cold_and_a_warm_sector_prefix(monkeypatch, support):
+    # the sectors N < 9 are built on the first call and read after it: a cold
+    # and a warm call give every bit of the grid that stepping each sector from
+    # the one before gives, and the kept sectors are read-only
+    rho = pad_density_operator(random_density(np.random.default_rng(support), support),
+                               FockCutoff(20))
+    xs = np.linspace(-4, 4, 41)
+    _sector_prefix.cache_clear()
+    cold = wigner_grid(rho, xs, xs)
+    warm = wigner_grid(rho, xs, xs)
+    assert _sector_prefix.cache_info().currsize == 1
+    prefix = _sector_prefix()
+    assert len(prefix) == 9 and not any(sector.flags.writeable for sector in prefix)
+    monkeypatch.setattr(fock, "_sector_prefix", lambda: (np.ones((1, 1)),))
+    stepped = wigner_grid(rho, xs, xs)
+    assert np.array_equal(cold, stepped) and np.array_equal(warm, stepped)
 
 
 def test_wigner_keeps_nothing_between_calls():

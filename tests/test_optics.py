@@ -15,7 +15,8 @@ from catbreed import (DEFAULT_PER_TRIP_TRANSMISSION, AcceptanceWindow,
                       single_photon_state, storage_evolve)
 from catbreed.fock import MAX_CUTOFF, StateVector, _log_factorial
 from catbreed.optics import (_beam_splitter_blocks, _beam_splitter_unitary, _breed,
-                             _lose, _loss_amplitudes, _loss_table, _window_matrix)
+                             _lose, _lose_populations, _loss_amplitudes, _loss_table,
+                             _window_matrix)
 from conftest import (random_density, random_pure, reference_window_matrix,
                       smear_povm)
 
@@ -228,6 +229,22 @@ def test_stacked_loss_is_each_loss_and_exact_at_the_edges():
         assert np.array_equal(got, loss_channel(DensityOperator(one, rho.cutoff), 0.64).matrix)
     with pytest.raises(DomainError):
         _lose(rho.matrix, [0.5, 1.1])
+
+
+@pytest.mark.parametrize("s, photon_fidelity, w2", [
+    (2, 0.87, 0.0), (2, 1.0, 0.0), (2, 0.0, 0.0), (3, 0.87, 0.05), (3, 0.0, 0.3)])
+def test_population_loss_is_the_real_diagonal_of_the_loss_bit_for_bit(s, photon_fidelity, w2):
+    # the storage window loses the held photon as its s populations; every
+    # value equals the real diagonal of _lose on the photon's s x s block, at
+    # the edge transmissions and on a 500-gap stack, also where the photon's
+    # support is narrower than s
+    block = single_photon_state(photon_fidelity, w2, CUT).matrix[:s, :s]
+    gaps = [DEFAULT_PER_TRIP_TRANSMISSION ** n for n in range(1, 501)]
+    for transmission in (0.0, 0.37, 1.0, gaps):
+        want = np.diagonal(_lose(block, transmission), axis1=-2, axis2=-1).real
+        got = _lose_populations(np.diagonal(block).real, transmission)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_loss_semigroup_and_commutation():

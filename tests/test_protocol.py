@@ -430,7 +430,8 @@ def forbid_losses_and_breeds(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a reader lost, bred or summed the gap law of its own")
 
-    for name in ("_breed", "_lose", "loss_channel", "storage_evolve", "window_probability"):
+    for name in ("_breed", "_lose", "_lose_populations", "loss_channel", "storage_evolve",
+                 "window_probability"):
         monkeypatch.setattr(protocol, name, unreachable)
 
 
@@ -559,9 +560,8 @@ def test_oversized_storage_windows_are_refused_before_the_first_breed(monkeypatc
     def unreachable(*args, **kwargs):
         raise AssertionError("ran before the storage window was checked")
 
-    monkeypatch.setattr(protocol, "_breed", unreachable)
-    monkeypatch.setattr(protocol, "_lose", unreachable)
-    monkeypatch.setattr(protocol, "_herald_pulses", unreachable)
+    for name in ("_breed", "_lose", "_lose_populations", "_herald_pulses"):
+        monkeypatch.setattr(protocol, name, unreachable)
     wide = replace(CFG, n_max=10 ** 7)
     calls = [lambda: pipeline_states(wide),
              lambda: fidelity_vs_storage_curve(CFG, [1, 10 ** 7]),
@@ -635,22 +635,26 @@ def test_window_matches_the_per_gap_loop_at_the_photon_edges(photon_fidelity, w2
 
 
 @pytest.mark.parametrize("w2", [0.0, 0.05])
-def test_window_is_one_breed_of_its_basis_and_three_losses(monkeypatch, w2):
+def test_window_is_one_breed_of_its_basis_the_photon_populations_and_two_losses(
+        monkeypatch, w2):
     # s = 2 number states, or 3 with a two-photon part, whatever the window's
-    # length or the cutoff; the photon's s x s block lost at every gap at once,
-    # then the s bred states lost over the readout trips and at the detector
+    # length or the cutoff; the photon's s populations lost at every gap at once,
+    # then the s bred states lost over the readout trips, from the cached readout
+    # amplitudes, and at the detector
     calls = []
-    for name in ("_breed", "_lose"):
+    for name in ("_breed", "_lose_populations", "_lose"):
         def counted(a, b, *args, real=getattr(protocol, name), name=name):
-            calls.append((name, a.shape, np.shape(b)))
+            calls.append((name, a.shape, np.shape(b)) + args)
             return real(a, b, *args)
         monkeypatch.setattr(protocol, name, counted)
     s = 3 if w2 else 2
     work = (s, 2 * s - 1, 2 * s - 1)
     window = window_parts(replace(CFG, n_max=500, two_photon_weight=w2,
                                   cutoff=FockCutoff(100)))
-    assert calls == [("_breed", work, work[1:]), ("_lose", (s, s), (500,)),
-                     ("_lose", work, ()), ("_lose", work, ())]
+    assert calls == [("_breed", work, work[1:], CFG.window, 1.0),
+                     ("_lose_populations", (s,), (500,)),
+                     ("_lose", work, (), protocol._readout_amplitudes),
+                     ("_lose", work, ())]
     assert window.stages.shape == (3,) + work and window.weights.shape == (500, s)
     assert not any(x.flags.writeable for x in vars(window).values())
 
