@@ -635,8 +635,7 @@ def test_window_matches_the_per_gap_loop_at_the_photon_edges(photon_fidelity, w2
 
 
 @pytest.mark.parametrize("w2", [0.0, 0.05])
-def test_window_is_one_breed_of_its_basis_the_photon_populations_and_two_losses(
-        monkeypatch, w2):
+def test_window_is_one_breed_of_its_basis_and_three_losses(monkeypatch, w2):
     # s = 2 number states, or 3 with a two-photon part, whatever the window's
     # length or the cutoff; the photon's s populations lost at every gap at once,
     # then the s bred states lost over the readout trips, from the cached readout
