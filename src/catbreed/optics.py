@@ -182,14 +182,12 @@ def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     return np.exp(log_b).astype(complex)
 
 
-def _lose(matrix: np.ndarray, transmission, amplitudes=_loss_amplitudes) -> np.ndarray:
+def _lose(matrix: np.ndarray, transmission) -> np.ndarray:
     """The loss channel on a state or a stack of states ``matrix`` (..., D, D)
     at a transmission or a stack of them, broadcast together. Loss never
-    raises the photon number, so it acts on the stack's support block s, with
-    the table ``amplitudes(transmission, s)``: a caller that reuses a
-    transmission may pass a cached ``_loss_amplitudes``."""
+    raises the photon number, so it acts on the stack's support block."""
     s = _support_dimension(matrix)
-    block, b = matrix[..., :s, :s], amplitudes(transmission, s)
+    block, b = matrix[..., :s, :s], _loss_amplitudes(transmission, s)
     out = np.zeros(np.broadcast_shapes(matrix.shape, b.shape[:-2] + (1, 1)), dtype=complex)
     for k in range(s):
         # A_k rho A_k^dag: rho[n, m] moves to [n-k, m-k], scaled by b[k, n] b[k, m]

@@ -26,8 +26,8 @@ from .fock import (
     pad_density_operator,
     target_cat,
 )
-from .optics import (AcceptanceWindow, _breed, _lose, _lose_populations, _loss_amplitudes,
-                     loss_channel, single_photon_state)
+from .optics import (AcceptanceWindow, _breed, _lose, _lose_populations, loss_channel,
+                     single_photon_state)
 from .tomography import _ROWS_PER_WRITE, _write_csv
 
 # Every record the timeline writes, as (kind, reason, carries the storage
@@ -223,15 +223,6 @@ MAX_WINDOW_BYTES = 900_000_000
 _GAP_ENTRY_BYTES = 80
 
 
-@lru_cache(maxsize=4)
-def _readout_amplitudes(transmission: float, dimension: int) -> np.ndarray:
-    """Read-only ``_loss_amplitudes`` of the readout trips: the operating points of a
-    sweep share their transmission and the breed's work dimension, so it is built once."""
-    b = _loss_amplitudes(transmission, dimension)
-    b.setflags(write=False)
-    return b
-
-
 @lru_cache(maxsize=2)
 def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
     """Read-only (w, c, stages) of the gaps n = n_min .. n_max, the first photon lost
@@ -265,8 +256,7 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
                               for n in range(config.n_min, config.n_max + 1)])
     weights = held * q
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips,
-                   _readout_amplitudes)
+    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips)
     window = gap_law, weights, np.stack([sigma, stored, _lose(stored, config.eta_homodyne)])
     for arr in window:
         arr.setflags(write=False)
@@ -308,8 +298,8 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     _require_heralds(config)
     gap_law, weights, stages = _heralded_window(config)
     mix = gap_law @ weights
-    # np.tensordot(share, stage, 1) without its wrapper: the same np.dot of the
-    # same reshaped operands
+    # the (1, s) share times each stage's (s, d*d) rows: bit-identical to
+    # np.tensordot(share, stage, 1), which reduces to this np.dot
     share, d = (mix / mix.sum())[None], stages.shape[-1]
     creation, stored, measured = (
         pad_density_operator(DensityOperator(np.dot(share, stage).reshape(d, d),
@@ -349,9 +339,7 @@ def fidelity_vs_storage_curve(config: ProtocolConfig,
     elif target.cutoff != config.cutoff:
         raise DomainError("fidelity requires matching cutoffs")
     _require_heralds(config)
-    widest = max(n_max_values)
-    gap_law, weights, stages = _heralded_window(
-        config if widest == config.n_max else replace(config, n_max=widest))
+    gap_law, weights, stages = _heralded_window(replace(config, n_max=max(n_max_values)))
     rows = np.asarray(n_max_values) - config.n_min
     heralded = np.cumsum(gap_law * weights.sum(axis=1))[rows]
     created, stored = (np.cumsum(gap_law * (weights @ _basis_fidelities(stage, target)))[rows]

@@ -772,12 +772,11 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_cli_builds_no_cache():
-    # the Wigner sector prefix and the readout loss amplitudes are built on
-    # their first use, so start-up pays for neither
+    # the Wigner sector prefix is built on its first use, so start-up does not
+    # pay for it
     assert fresh_interpreter_output(
-        "import catbreed.cli, catbreed.fock as f, catbreed.protocol as p; "
-        "print(f._sector_prefix.cache_info().currsize, "
-        "p._readout_amplitudes.cache_info().currsize)") == "0 0"
+        "import catbreed.cli, catbreed.fock as f; "
+        "print(f._sector_prefix.cache_info().currsize)") == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -638,8 +638,7 @@ def test_window_matches_the_per_gap_loop_at_the_photon_edges(photon_fidelity, w2
 def test_window_is_one_breed_of_its_basis_and_three_losses(monkeypatch, w2):
     # s = 2 number states, or 3 with a two-photon part, whatever the window's
     # length or the cutoff; the photon's s populations lost at every gap at once,
-    # then the s bred states lost over the readout trips, from the cached readout
-    # amplitudes, and at the detector
+    # then the s bred states lost over the readout trips and at the detector
     calls = []
     for name in ("_breed", "_lose_populations", "_lose"):
         def counted(a, b, *args, real=getattr(protocol, name), name=name):
@@ -652,7 +651,7 @@ def test_window_is_one_breed_of_its_basis_and_three_losses(monkeypatch, w2):
                                   cutoff=FockCutoff(100)))
     assert calls == [("_breed", work, work[1:], CFG.window, 1.0),
                      ("_lose_populations", (s,), (500,)),
-                     ("_lose", work, (), protocol._readout_amplitudes),
+                     ("_lose", work, ()),
                      ("_lose", work, ())]
     assert window.stages.shape == (3,) + work and window.weights.shape == (500, s)
     assert not any(x.flags.writeable for x in vars(window).values())
