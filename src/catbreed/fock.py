@@ -383,10 +383,11 @@ def _wigner_coefficients(rho: DensityOperator) -> np.ndarray:
     K = 2 * M - 1
     skew = np.zeros((K, K), dtype=complex)      # skew[N, k] = (B^N rho_{N-n,n})_k
     prefix = _sector_prefix()
+    flipped = rho.matrix[M - 1::-1, :M]         # flipped[M-1-m, n] = rho_{m,n}
     for N in range(K):
         sector = prefix[N] if N < len(prefix) else _balanced_sector_step(sector)
-        n = np.arange(max(0, N - M + 1), min(N, M - 1) + 1)
-        skew[N, :N + 1] = sector[:, n[0]:n[-1] + 1] @ rho.matrix[N - n, n]
+        # rho_{N-n,n} with n rising, copied: matmul of the strided view skips BLAS
+        skew[N, :N + 1] = sector[:, max(0, N - M + 1):M] @ flipped.diagonal(N - M + 1).copy()
     k, l = np.arange(K)[:, None], np.arange(K)
     D = np.where(k + l < K, (_QUARTER_TURNS[l % 4] * skew[(k + l) % K, k]).real, 0.0)
     return D / math.sqrt(math.pi)

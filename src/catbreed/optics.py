@@ -178,8 +178,7 @@ def _loss_amplitudes(transmission, dimension: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):   # 0 * log 0 at the edges, masked
         log_b = (log_coeff + np.where(lost, half_lost * np.log(eta), 0.0)
                  + np.where(kept, half_kept * np.log1p(-eta), 0.0))
-    # complex, so that the products with complex states need no cast
-    return np.exp(log_b).astype(complex)
+    return np.exp(log_b)
 
 
 def _lose(matrix: np.ndarray, transmission) -> np.ndarray:
@@ -202,7 +201,7 @@ def _lose_populations(populations: np.ndarray, transmission) -> np.ndarray:
     sum_k (b[k, j+k] p[j+k]) b[k, j+k], the same products in the same k order,
     so every value is _lose's bit for bit, without its D x D blocks."""
     d = populations.shape[-1]
-    b = _loss_amplitudes(transmission, d).real
+    b = _loss_amplitudes(transmission, d)
     out = np.zeros(b.shape[:-2] + (d,))
     for k in range(d):
         v = b[..., k, k:]
@@ -248,7 +247,7 @@ def _window_matrix(dimension: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _smear_povm(pi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Adjoint loss map sum_k A_k^dag Pi A_k for real ``_loss_amplitudes`` b."""
+    """Adjoint loss map sum_k A_k^dag Pi A_k for ``_loss_amplitudes`` b."""
     d = pi.shape[0]
     out = np.zeros_like(pi)
     for k in range(d):
@@ -270,9 +269,10 @@ def homodyne_povm(window: AcceptanceWindow, cutoff: FockCutoff,
     if not 0.0 < detector_efficiency <= 1.0:
         raise DomainError(f"detector efficiency must lie in (0, 1], got {detector_efficiency}")
     eps = window.half_width
-    pi = np.array(_window_matrix(cutoff.dimension, -eps, eps), dtype=complex)
+    pi = _window_matrix(cutoff.dimension, -eps, eps)
     if detector_efficiency < 1.0:
-        pi = _smear_povm(pi, _loss_amplitudes(detector_efficiency, cutoff.dimension).real)
+        pi = _smear_povm(pi, _loss_amplitudes(detector_efficiency, cutoff.dimension))
+    pi = np.array(pi, dtype=complex)
     if window.phase != 0.0:
         pi = pi * _phase_rotation(window.phase, cutoff.dimension)
     return pi

@@ -23,7 +23,6 @@ from .fock import (
     FockCutoff,
     StateVector,
     TargetCatSpec,
-    pad_density_operator,
     target_cat,
 )
 from .optics import (AcceptanceWindow, _breed, _lose, _lose_populations, loss_channel,
@@ -233,10 +232,10 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
     w2 > 0) against the fresh photon, q_k their herald probabilities and
     c[n, k] = <k|L_eta^n(photon)|k> q_k, the photon lost as its s populations at every
     gap. Loss is linear too, so every later stage of gap n is the same mix of its lost
-    basis: stages (3, s, d, d) holds sigma as bred, after the readout trips, and that at
-    the homodyne detector. p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the
-    basis covers every gap. Refused above MAX_WINDOW_BYTES before the one stacked breed,
-    the photon's population loss and the two losses of the basis."""
+    basis: stages (3, s, d, d) is one loss of sigma at transmissions 1 (as bred, exactly),
+    t = per_trip ** readout_trips (stored) and t eta_homodyne (measured: L_eta L_t = L_(t eta)).
+    p_n = sum_k c[n, k] >= min_k q_k, so _breed's refusal of the basis covers every gap.
+    Refused above MAX_WINDOW_BYTES before the breed, the population and the stage loss."""
     count, s = config.n_max - config.n_min + 1, 3 if config.two_photon_weight > 0 else 2
     size = count * s * s * _GAP_ENTRY_BYTES
     if size > MAX_WINDOW_BYTES:
@@ -256,8 +255,8 @@ def _heralded_window(config: ProtocolConfig) -> tuple[np.ndarray, ...]:
                               for n in range(config.n_min, config.n_max + 1)])
     weights = held * q
     gap_law = (1.0 - config.p_trip) ** np.arange(config.n_min - 1, config.n_max) * config.p_trip
-    stored = _lose(sigma, config.per_trip_transmission ** config.readout_trips)
-    window = gap_law, weights, np.stack([sigma, stored, _lose(stored, config.eta_homodyne)])
+    t = config.per_trip_transmission ** config.readout_trips
+    window = gap_law, weights, _lose(sigma, np.array([1.0, t, t * config.eta_homodyne])[:, None])
     for arr in window:
         arr.setflags(write=False)
     return window
@@ -291,8 +290,8 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     Every stage is the mixture over first-photon storage lengths n by the
     success weight w_n p_n, which the curve and the timeline share:
     sum_k (w.c)_k x_k / (w.p) over the window's basis outputs x_k at that
-    stage. The creation state is bred; the stored state adds the readout
-    storage loss; the measured state adds the homodyne detection loss.
+    stage, zero-padded to the cutoff: as bred (creation), after the readout
+    storage loss (stored), and after the homodyne detection loss too (measured).
     mean_condition_probability averages p_n over the in-window gap law w_n.
     """
     _require_heralds(config)
@@ -301,10 +300,10 @@ def pipeline_states(config: ProtocolConfig) -> PipelineStates:
     # the (1, s) share times each stage's (s, d*d) rows: bit-identical to
     # np.tensordot(share, stage, 1), which reduces to this np.dot
     share, d = (mix / mix.sum())[None], stages.shape[-1]
-    creation, stored, measured = (
-        pad_density_operator(DensityOperator(np.dot(share, stage).reshape(d, d),
-                                             FockCutoff(d - 1)), config.cutoff)
-        for stage in stages.reshape(3, len(mix), d * d))
+    padded = np.zeros((3,) + (config.cutoff.dimension,) * 2, dtype=complex)
+    for out, stage in zip(padded, stages.reshape(3, len(mix), d * d)):
+        out[:d, :d] = np.dot(share, stage).reshape(d, d)
+    creation, stored, measured = (DensityOperator(m, config.cutoff) for m in padded)
     return PipelineStates(creation, stored, measured, mix.sum() / gap_law.sum())
 
 

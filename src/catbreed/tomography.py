@@ -192,7 +192,7 @@ def _binned_povm(dimension: int, eta_total: float) -> np.ndarray:
     # [delta, m] -> (m, m + delta) of a zero-padded d x 2d copy of W_b
     skew = np.arange(d)[:, None] + (2 * d + 1) * np.arange(d)
     padded = np.zeros((d, 2 * d))
-    loss = _loss_amplitudes(eta_total, d).real if eta_total < 1.0 else None
+    loss = _loss_amplitudes(eta_total, d) if eta_total < 1.0 else None
     below = _window_antiderivative(d, edges[0])
     for b, edge in enumerate(edges[1:]):
         above = _window_antiderivative(d, edge)

@@ -58,4 +58,4 @@ def smear_povm(pi: np.ndarray, eta: float) -> np.ndarray:
     its callers apply it: the identity at eta = 1."""
     if eta == 1.0:
         return pi
-    return _smear_povm(pi, _loss_amplitudes(eta, len(pi)).real)
+    return _smear_povm(pi, _loss_amplitudes(eta, len(pi)))

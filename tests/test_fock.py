@@ -641,21 +641,55 @@ def test_wigner_grid_is_the_same_from_a_cold_and_a_warm_sector_prefix(monkeypatc
     assert np.array_equal(cold, stepped) and np.array_equal(warm, stepped)
 
 
-def test_wigner_keeps_nothing_between_calls():
-    # the sectors are built one from the next and dropped: a cold support-130
-    # call peaks at about eight arrays of the largest sector's size (0.53 MB
+def test_wigner_keeps_only_the_sector_prefix_between_calls():
+    # a cold support-130 call builds the per-process sector prefix (3.9 kB
+    # retained) and steps every later sector from the one before, dropping it:
+    # it peaks at about eight arrays of the largest sector's size (0.53 MB
     # each), where a cache of every sector took 25 MB, and keeps nothing but
-    # its result
+    # the prefix and its result
     xs = np.linspace(-2, 2, 5)
     rho = fock_state(129, FockCutoff(129)).to_density()
+    _sector_prefix.cache_clear()
     tracemalloc.start()
     try:
         grid = wigner_grid(rho, xs, xs)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert _sector_prefix.cache_info().currsize == 1
     assert retained - grid.nbytes < 10_000
     assert peak < 6_000_000
+
+
+def anti_diagonal_wigner_coefficients(rho: DensityOperator) -> np.ndarray:
+    """Oracle: ``_wigner_coefficients`` as it read each anti-diagonal rho_{N-n,n}
+    with an index array per sector, unchanged."""
+    M = _support_dimension(rho.matrix)
+    K = 2 * M - 1
+    skew = np.zeros((K, K), dtype=complex)
+    prefix = _sector_prefix()
+    for N in range(K):
+        sector = prefix[N] if N < len(prefix) else _balanced_sector_step(sector)
+        n = np.arange(max(0, N - M + 1), min(N, M - 1) + 1)
+        skew[N, :N + 1] = sector[:, n[0]:n[-1] + 1] @ rho.matrix[N - n, n]
+    k, l = np.arange(K)[:, None], np.arange(K)
+    D = np.where(k + l < K, (fock._QUARTER_TURNS[l % 4] * skew[(k + l) % K, k]).real, 0.0)
+    return D / np.sqrt(np.pi)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_wigner_coefficients_match_the_index_array_reads_bit_for_bit(padded):
+    # each anti-diagonal read as a diagonal of the row-flipped support block
+    # feeds the same numbers in the same order to the same product
+    rng = np.random.default_rng(13)
+    for support in range(1, 14):
+        cutoff = FockCutoff(40 if padded else max(support - 1, 2))
+        a = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
+        mat = np.zeros((cutoff.dimension,) * 2, dtype=complex)
+        mat[:support, :support] = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+        rho = DensityOperator(mat, cutoff)
+        assert np.array_equal(fock._wigner_coefficients(rho),
+                              anti_diagonal_wigner_coefficients(rho))
 
 
 # ---------------------------------------------------------------------------

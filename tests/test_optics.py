@@ -231,6 +231,23 @@ def test_stacked_loss_is_each_loss_and_exact_at_the_edges():
         _lose(rho.matrix, [0.5, 1.1])
 
 
+def test_loss_at_transmission_one_in_a_stack_is_the_identity_bit_for_bit():
+    # the storage window reads its as-bred stage from the transmission-1 row of
+    # a (3, 1) stack; that row is every byte of the input states, whichever row
+    # it sits in and whatever the states' support
+    rng = np.random.default_rng(27)
+    for support, d in ((1, 3), (3, 3), (5, 5), (4, 9)):
+        states = np.zeros((3, d, d), dtype=complex)
+        states[:, :support, :support] = (rng.normal(size=(3, support, support))
+                                         + 1j * rng.normal(size=(3, support, support)))
+        for row in range(3):
+            etas = np.array([0.37, 0.81, 0.05])
+            etas[row] = 1.0
+            out = _lose(states, etas[:, None])
+            assert out.shape == (3, 3, d, d)
+            assert out[row].tobytes() == states.tobytes()
+
+
 @pytest.mark.parametrize("s, photon_fidelity, w2", [
     (2, 0.87, 0.0), (2, 1.0, 0.0), (2, 0.0, 0.0), (3, 0.87, 0.05), (3, 0.0, 0.3)])
 def test_population_loss_is_the_real_diagonal_of_the_loss_bit_for_bit(s, photon_fidelity, w2):
@@ -401,7 +418,7 @@ def row_loop_loss_amplitudes(transmission: float, dimension: int) -> np.ndarray:
 def test_loss_amplitudes_match_the_row_loop_bit_for_bit(d):
     for eta in (1e-300, 0.01, 0.37, 0.76, 0.841, 1.0 - 1e-12):
         got = _loss_amplitudes(eta, d)
-        assert got.dtype == complex
+        assert got.dtype == float
         assert np.array_equal(got, row_loop_loss_amplitudes(eta, d))
     np.testing.assert_array_equal(_loss_amplitudes(0.0, d), np.eye(d))
     identity = np.zeros((d, d))
